@@ -15,6 +15,8 @@ namespace {
 /** Bytes below which a flow counts as finished (guards FP error). */
 constexpr Bytes kByteEps = 1e-3;
 
+constexpr Rate kInfRate = std::numeric_limits<Rate>::infinity();
+
 } // namespace
 
 FlowNetwork::FlowNetwork(Simulator &sim, SimTime usage_window)
@@ -168,6 +170,8 @@ FlowNetwork::startFlow(std::vector<ResourceId> path, Bytes size,
     for (ResourceId r : stored.path)
         resources_[static_cast<std::size_t>(r)].active.push_back(
             &stored);
+    stored.livePos = static_cast<uint32_t>(live_.size());
+    live_.push_back(&stored);
     heapUpdate(&stored); // eta = never until the solve rates it
     flowsStarted_.add();
     flowsActive_.set(static_cast<double>(flows_.size()));
@@ -341,6 +345,50 @@ FlowNetwork::detachFlow(Flow &flow)
     // Per-tag rate sums of the touched resources are refreshed by the
     // resolve() that always follows a detach (the flow's path seeds
     // the dirty set).
+    live_[flow.livePos] = nullptr;
+    if (++liveDead_ * 2 < live_.size())
+        return;
+    uint32_t n = 0;
+    for (Flow *f : live_) {
+        if (f == nullptr)
+            continue;
+        f->livePos = n;
+        live_[n++] = f;
+    }
+    live_.resize(n);
+    liveDead_ = 0;
+}
+
+void
+FlowNetwork::orderDirtySets(uint64_t epoch)
+{
+    // The fill scans resources in index order so its tie-break
+    // matches the reference solver's bit-for-bit, and the apply pass
+    // visits flows in id order so per-resource byte counters are
+    // summed in the same order in both modes. A dense set is read off
+    // the containers that already hold that order (resources_, and
+    // live_ with its dead entries); a sparse one is cheaper to sort.
+    // Either way the order is the same.
+    if (dirtyRes_.size() * 4 >= resources_.size()) {
+        dirtyRes_.clear();
+        for (Resource &res : resources_)
+            if (res.mark == epoch)
+                dirtyRes_.push_back(&res);
+    } else {
+        // Pointer order == index order: resources_ is contiguous.
+        std::sort(dirtyRes_.begin(), dirtyRes_.end());
+    }
+    if (dirtyFlows_.size() * 4 >= live_.size()) {
+        dirtyFlows_.clear();
+        for (Flow *f : live_)
+            if (f != nullptr && f->mark == epoch)
+                dirtyFlows_.push_back(f);
+    } else {
+        std::sort(dirtyFlows_.begin(), dirtyFlows_.end(),
+                  [](const Flow *a, const Flow *b) {
+                      return a->id < b->id;
+                  });
+    }
 }
 
 void
@@ -360,8 +408,9 @@ FlowNetwork::resolve(const std::vector<ResourceId> &seeds)
         // modes differ only in dirty-set discovery.
         for (auto &res : resources_)
             dirtyRes_.push_back(&res);
-        for (auto &[id, flow] : flows_)
-            dirtyFlows_.push_back(&flow);
+        for (Flow *f : live_)
+            if (f != nullptr)
+                dirtyFlows_.push_back(f);
     } else {
         // Dirty-set discovery: the max-min allocation of a flow can
         // only change if it shares a resource (transitively) with a
@@ -396,10 +445,7 @@ FlowNetwork::resolve(const std::vector<ResourceId> &seeds)
                 }
             }
         }
-        // The bottleneck scan must visit resources in index order so
-        // its tie-break matches the reference solver's bit-for-bit
-        // (pointer order == index order: resources_ is contiguous).
-        std::sort(dirtyRes_.begin(), dirtyRes_.end());
+        orderDirtySets(epoch);
     }
     dirtyResourceVisits_.add(
         static_cast<int64_t>(dirtyRes_.size()));
@@ -413,9 +459,15 @@ FlowNetwork::resolve(const std::vector<ResourceId> &seeds)
     // flows outside the component share no resource with it, so the
     // global solve would perform bit-identical arithmetic on the
     // component and leave the rest untouched.
-    for (Resource *res : dirtyRes_) {
-        res->residual = res->capacity;
-        res->unfrozen = res->active.size();
+    const std::size_t nres = dirtyRes_.size();
+    if (fair_.size() < nres)
+        fair_.resize(nres);
+    for (std::size_t i = 0; i < nres; ++i) {
+        Resource &res = *dirtyRes_[i];
+        res.residual = res.capacity;
+        res.unfrozen = res.active.size();
+        res.pos = i;
+        fair_[i] = res.fairShare();
     }
     for (Flow *f : dirtyFlows_) {
         f->prevRate = f->rate;
@@ -424,26 +476,34 @@ FlowNetwork::resolve(const std::vector<ResourceId> &seeds)
 
     std::size_t remaining_flows = dirtyFlows_.size();
     while (remaining_flows > 0) {
-        // Find the bottleneck resource.
-        Rate best_fair = std::numeric_limits<Rate>::infinity();
-        Resource *best = nullptr;
-        for (Resource *res : dirtyRes_) {
-            if (res->unfrozen == 0)
-                continue;
-            Rate fair = std::max(res->residual, 0.0) /
-                        static_cast<Rate>(res->unfrozen);
-            if (fair < best_fair) {
-                best_fair = fair;
-                best = res;
-            }
-        }
-        CHAMELEON_ASSERT(best != nullptr,
+        // The bottleneck is the first resource in index order with
+        // the smallest fair share, as a strict-< scan would pick. A
+        // share changes only when a freeze touches its resource, so
+        // fair_ is kept current, and a round neither divides nor
+        // branches per resource: one pass takes the minimum (four
+        // running minima break the compare chain; the minimum is the
+        // same in any order, and NaN never wins a <), a second finds
+        // the first entry equal to it.
+        Rate m[4] = {kInfRate, kInfRate, kInfRate, kInfRate};
+        std::size_t i = 0;
+        for (; i + 4 <= nres; i += 4)
+            for (std::size_t j = 0; j < 4; ++j)
+                m[j] = fair_[i + j] < m[j] ? fair_[i + j] : m[j];
+        for (; i < nres; ++i)
+            m[0] = fair_[i] < m[0] ? fair_[i] : m[0];
+        const Rate min_fair =
+            std::min(std::min(m[0], m[1]), std::min(m[2], m[3]));
+        CHAMELEON_ASSERT(min_fair < kInfRate,
                          "unfrozen flows but no active resource");
+        std::size_t b = 0;
+        while (fair_[b] != min_fair)
+            ++b;
+        const Rate best_fair = fair_[b]; // min_fair, sign of zero too
         // Freeze every unfrozen flow crossing the bottleneck.
         // Freezing mutates the fill bookkeeping only, never the
         // active lists, so iterating the list directly is safe —
         // and pointer-chasing-free (no per-flow hash lookup).
-        for (Flow *fp : best->active) {
+        for (Flow *fp : dirtyRes_[b]->active) {
             Flow &flow = *fp;
             if (flow.rate >= 0)
                 continue; // already frozen
@@ -453,6 +513,7 @@ FlowNetwork::resolve(const std::vector<ResourceId> &seeds)
                 p.residual -= best_fair;
                 CHAMELEON_ASSERT(p.unfrozen > 0, "bookkeeping error");
                 p.unfrozen -= 1;
+                fair_[p.pos] = p.fairShare();
             }
             --remaining_flows;
         }
@@ -463,9 +524,8 @@ FlowNetwork::resolve(const std::vector<ResourceId> &seeds)
     // the span its old rate covered, and re-key its predicted
     // completion. Flows whose rate is bit-unchanged are skipped —
     // their progress stays lazily pending and their heap entry is
-    // already correct.
-    std::sort(dirtyFlows_.begin(), dirtyFlows_.end(),
-              [](const Flow *a, const Flow *b) { return a->id < b->id; });
+    // already correct. A re-rated flow's resources are marked for the
+    // tag-sum refresh below.
     for (Flow *f : dirtyFlows_) {
         if (f->rate == f->prevRate)
             continue;
@@ -473,13 +533,21 @@ FlowNetwork::resolve(const std::vector<ResourceId> &seeds)
         f->eta = f->rate > 0 ? now + f->remaining / f->rate
                              : kTimeNever;
         heapUpdate(f);
+        for (ResourceId r : f->path)
+            resources_[static_cast<std::size_t>(r)].tagMark = epoch;
     }
 
-    // Refresh the per-tag rate sums of the dirty resources from
-    // scratch (a left-to-right walk of each active list): O(component
-    // edges), same as one fill round, and — unlike += deltas — free
-    // of accumulated FP drift, so an idle link reads exactly 0.
+    // Re-sum the per-tag rates (a left-to-right walk of the active
+    // list, free of the FP drift += deltas accumulate, so an idle link
+    // reads exactly 0) where they can have changed: on the paths of
+    // re-rated flows and on the seeds, whose active lists changed. Any
+    // other resource has the same members at the same rates, so its
+    // walk would produce the same bits.
+    for (ResourceId r : seeds)
+        resources_[static_cast<std::size_t>(r)].tagMark = epoch;
     for (Resource *res : dirtyRes_) {
+        if (res->tagMark != epoch)
+            continue;
         Rate sums[kNumFlowTags] = {0.0, 0.0, 0.0};
         for (const Flow *f : res->active)
             sums[static_cast<int>(f->tag)] += f->rate;

@@ -33,7 +33,9 @@
 #ifndef CHAMELEON_SIM_FLOW_NETWORK_HH_
 #define CHAMELEON_SIM_FLOW_NETWORK_HH_
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -161,7 +163,8 @@ class FlowNetwork
     const WindowedUsage &usage(ResourceId id, FlowTag tag) const;
 
     /** Instantaneous aggregate rate of `tag` flows through `id`;
-     * O(1) via incrementally maintained per-tag sums. */
+     * O(1): each solve re-sums, from the active list, the resources
+     * whose flows or rates it changed. */
     Rate currentTagRate(ResourceId id, FlowTag tag) const;
 
     /** Count of active flows through `id`. */
@@ -200,6 +203,8 @@ class FlowNetwork
         SimTime eta = kTimeNever;
         /** Position in the completion heap; -1 = not enqueued. */
         int32_t heapPos = -1;
+        /** Position in the id-ordered live list. */
+        uint32_t livePos = 0;
         /** Dirty-set traversal epoch (solve-internal). */
         uint64_t mark = 0;
     };
@@ -215,16 +220,33 @@ class FlowNetwork
         std::vector<Flow *> active;
         Bytes taggedBytes[kNumFlowTags] = {0.0, 0.0, 0.0};
         WindowedUsage usage[kNumFlowTags];
-        /** Incrementally maintained per-tag rate sums and flow
-         * counts; the sum snaps to exactly 0 when the count does,
-         * so FP dust never accumulates on idle links. */
+        /** Per-tag sums of the active flows' rates, re-summed from
+         * the active list by every solve that changes a member or a
+         * member's rate, so FP dust never accumulates on idle
+         * links. */
         Rate tagRate[kNumFlowTags] = {0.0, 0.0, 0.0};
-        int32_t tagCount[kNumFlowTags] = {0, 0, 0};
         /** Dirty-set traversal epoch (solve-internal). */
         uint64_t mark = 0;
-        /** Progressive-filling scratch (solve-internal). */
+        /** Epoch of the last solve that changed this resource's
+         * members or their rates (solve-internal). */
+        uint64_t tagMark = 0;
+        /** Progressive-filling scratch (solve-internal): residual
+         * capacity, unfrozen flow count, and index in the ordered
+         * dirty set (and so in fair_). */
         Rate residual = 0.0;
         std::size_t unfrozen = 0;
+        std::size_t pos = 0;
+
+        /** The share each unfrozen flow gets if this resource is the
+         * bottleneck; +inf once none is unfrozen, so it is never
+         * picked. */
+        Rate fairShare() const
+        {
+            return unfrozen == 0
+                       ? std::numeric_limits<Rate>::infinity()
+                       : std::max(residual, 0.0) /
+                             static_cast<Rate>(unfrozen);
+        }
 
         Resource(std::string n, Rate c, SimTime window)
             : name(std::move(n)), capacity(c),
@@ -251,12 +273,17 @@ class FlowNetwork
      */
     void resolve(const std::vector<ResourceId> &seeds);
 
+    /** Puts the BFS-found dirty sets (marked with `epoch`) in the
+     * order the fill and apply passes need: resources by index,
+     * flows by id. */
+    void orderDirtySets(uint64_t epoch);
+
     /** Stages the completion of a finished flow: callback, counters,
      * trace span, detach, erase. `flow` is dead afterwards. */
     void completeFlow(Flow &flow, SimTime end);
 
-    /** Removes the flow from its resources' active lists and per-tag
-     * sums, and from the completion heap. */
+    /** Removes the flow from its resources' active lists, from the
+     * live list, and from the completion heap. */
     void detachFlow(Flow &flow);
 
     void scheduleNextCompletion();
@@ -292,6 +319,11 @@ class FlowNetwork
     telemetry::Counter &capacityChanges_;
     std::vector<Resource> resources_;
     std::unordered_map<FlowId, Flow> flows_;
+    /** Active flows in id order (ids are monotonic, so a start
+     * appends); a detach nulls its entry, and the list is compacted
+     * once half its entries are null. */
+    std::vector<Flow *> live_;
+    std::size_t liveDead_ = 0;
     FlowId nextFlowId_ = 0;
     EventHandle completionEvent_;
     /** Absolute time the pending completion event targets. */
@@ -307,6 +339,10 @@ class FlowNetwork
     /** Solve scratch, reused across solves (allocation-light). */
     std::vector<Resource *> dirtyRes_;
     std::vector<Flow *> dirtyFlows_;
+    /** Fair share of each dirty resource, by dirty position; +inf
+     * once the resource has no unfrozen flow. Only grows: entries
+     * past the current dirty set are stale. */
+    std::vector<Rate> fair_;
     std::vector<Resource *> bfsStack_;
     std::vector<ResourceId> seedScratch_;
 };
