@@ -80,6 +80,9 @@ ResourceId
 FlowNetwork::addResource(std::string name, Rate capacity)
 {
     CHAMELEON_ASSERT(capacity >= 0, "negative capacity");
+    // The kept dirty set points into resources_, which may move.
+    dirtyRes_.clear();
+    dirtyConnected_ = false;
     resources_.emplace_back(std::move(name), capacity, usageWindow_);
     return static_cast<ResourceId>(resources_.size() - 1);
 }
@@ -175,7 +178,7 @@ FlowNetwork::startFlow(std::vector<ResourceId> path, Bytes size,
     heapUpdate(&stored); // eta = never until the solve rates it
     flowsStarted_.add();
     flowsActive_.set(static_cast<double>(flows_.size()));
-    resolve(stored.path);
+    resolve(stored.path, &stored);
     return id;
 }
 
@@ -345,6 +348,12 @@ FlowNetwork::detachFlow(Flow &flow)
     // Per-tag rate sums of the touched resources are refreshed by the
     // resolve() that always follows a detach (the flow's path seeds
     // the dirty set).
+    // The kept dirty set outlives the flow: drop its entry.
+    if (flow.dirtyPos < dirtyFlows_.size() &&
+        dirtyFlows_[flow.dirtyPos] == &flow) {
+        dirtyFlows_[flow.dirtyPos] = nullptr;
+        ++dirtyDropped_;
+    }
     live_[flow.livePos] = nullptr;
     if (++liveDead_ * 2 < live_.size())
         return;
@@ -391,13 +400,160 @@ FlowNetwork::orderDirtySets(uint64_t epoch)
     }
 }
 
+bool
+FlowNetwork::patchDirtySets(const std::vector<ResourceId> &seeds,
+                            Flow *started, uint64_t epoch)
+{
+    // The kept set is the union of the components that held the last
+    // solve's seeds; it is patchable only while its busy resources
+    // form one component C. Every branch below returns the union of
+    // the components that hold `seeds` now, which is what the BFS
+    // would find, in the same order.
+    if (!dirtyConnected_)
+        return false;
+    if (started != nullptr) {
+        // A start joins exactly one component: C, if a path resource
+        // carrying another flow lies in it, and then every such
+        // resource must, or C would merge with another component. A
+        // path resource carrying only the new flow is idle here, even
+        // a member the last solve left idle.
+        CHAMELEON_ASSERT(dirtyDropped_ == 0,
+                         "start after an unsolved detach");
+        bool joins = false;
+        for (ResourceId r : seeds) {
+            const Resource &res = resources_[static_cast<std::size_t>(r)];
+            if (res.active.size() == 1)
+                continue;
+            if (!inDirtySet(res))
+                return false;
+            joins = true;
+        }
+        if (!joins)
+            return false;
+        // C stays one component. The newly busy path resources merge
+        // in by index, the new flow has the largest id, and members
+        // left idle (none is on the path) drop out in resolve.
+        patchRes_.clear();
+        for (ResourceId r : seeds) {
+            Resource &res = resources_[static_cast<std::size_t>(r)];
+            if (res.active.size() == 1 && !inDirtySet(res))
+                patchRes_.push_back(&res);
+        }
+        std::sort(patchRes_.begin(), patchRes_.end());
+        std::size_t n = dirtyRes_.size();
+        std::size_t k = patchRes_.size();
+        dirtyRes_.resize(n + k);
+        for (std::size_t out = n + k; k > 0;) {
+            if (n > 0 && dirtyRes_[n - 1] > patchRes_[k - 1])
+                dirtyRes_[--out] = dirtyRes_[--n];
+            else
+                dirtyRes_[--out] = patchRes_[--k];
+        }
+        dirtyFlows_.push_back(started);
+        return true;
+    }
+    // Removals, capacity changes: every seed must be a member. A
+    // removed flow's path resources then lay in C, so all removed
+    // flows did. Without a removal C is unchanged and is the seeds'
+    // component if a seed is busy; a seed idle since the last solve is
+    // a component of its own.
+    bool any_busy = false;
+    for (ResourceId r : seeds) {
+        const Resource &res = resources_[static_cast<std::size_t>(r)];
+        if (!inDirtySet(res))
+            return false;
+        any_busy |= !res.active.empty();
+    }
+    if (dirtyDropped_ == 0 && !any_busy)
+        return false;
+    patchRes_.clear(); // the busy seeds, once each
+    for (ResourceId r : seeds) {
+        Resource &res = resources_[static_cast<std::size_t>(r)];
+        if (res.mark == epoch)
+            continue;
+        res.mark = epoch;
+        if (!res.active.empty())
+            patchRes_.push_back(&res);
+    }
+    // Removing flows from C leaves pieces that each touch a removed
+    // flow, so each holds a seed: all of C's remains are kept. resolve
+    // drops the removed flows and the members left idle that are not
+    // seeds.
+    if (dirtyDropped_ > 0)
+        dirtyConnected_ = busySeedsConnected();
+    return true;
+}
+
+bool
+FlowNetwork::busySeedsConnected()
+{
+    // Every busy piece holds a busy seed (patchRes_), so the pieces
+    // are one component iff the busy seeds are connected. A BFS from
+    // all of them at once labels what it reaches with its seed's
+    // index (mark - base), joins two labels where their regions meet,
+    // and stops as soon as one label is left. Only a split makes it
+    // visit every piece.
+    const std::size_t busy = patchRes_.size();
+    if (busy <= 1)
+        return busy == 1;
+    // Expand the seeds with the fewest flows first: the regions of the
+    // later ones then meet what the first labelled sooner.
+    std::sort(patchRes_.begin(), patchRes_.end(),
+              [](const Resource *a, const Resource *b) {
+                  return a->active.size() < b->active.size();
+              });
+    const uint64_t base = epoch_ + 1;
+    epoch_ += busy;
+    pieceParent_.resize(busy);
+    bfsStack_.clear(); // a FIFO here
+    for (std::size_t i = 0; i < busy; ++i) {
+        patchRes_[i]->mark = base + i;
+        pieceParent_[i] = i;
+        bfsStack_.push_back(patchRes_[i]);
+    }
+    std::size_t pieces = busy;
+    // Joins the labels of two regions that meet; true once one is left.
+    const auto join = [&](uint64_t a, uint64_t b) {
+        std::size_t x = a - base, y = b - base;
+        while (pieceParent_[x] != x)
+            x = pieceParent_[x];
+        while (pieceParent_[y] != y)
+            y = pieceParent_[y];
+        if (x == y)
+            return false;
+        pieceParent_[x] = y;
+        return --pieces == 1;
+    };
+    for (std::size_t head = 0; head < bfsStack_.size(); ++head) {
+        Resource *res = bfsStack_[head];
+        const uint64_t label = res->mark;
+        for (Flow *f : res->active) {
+            if (f->mark >= base) {
+                if (f->mark != label && join(f->mark, label))
+                    return true;
+                continue;
+            }
+            f->mark = label;
+            for (ResourceId pr : f->path) {
+                Resource &o = resources_[static_cast<std::size_t>(pr)];
+                if (o.mark >= base) {
+                    if (o.mark != label && join(o.mark, label))
+                        return true;
+                    continue;
+                }
+                o.mark = label;
+                bfsStack_.push_back(&o);
+            }
+        }
+    }
+    return false;
+}
+
 void
-FlowNetwork::resolve(const std::vector<ResourceId> &seeds)
+FlowNetwork::resolve(const std::vector<ResourceId> &seeds, Flow *started)
 {
     const SimTime now = sim_.now();
     rateRecomputes_.add();
-    dirtyRes_.clear();
-    dirtyFlows_.clear();
     ++epoch_;
     const uint64_t epoch = epoch_;
 
@@ -406,51 +562,60 @@ FlowNetwork::resolve(const std::vector<ResourceId> &seeds)
         // this the classic from-scratch global solve. Everything
         // downstream is shared with incremental mode, so the two
         // modes differ only in dirty-set discovery.
-        for (auto &res : resources_)
+        dirtyRes_.clear();
+        dirtyFlows_.clear();
+        for (auto &res : resources_) {
+            res.mark = epoch;
             dirtyRes_.push_back(&res);
+        }
         for (Flow *f : live_)
             if (f != nullptr)
                 dirtyFlows_.push_back(f);
-    } else {
+        dirtyConnected_ = false;
+    } else if (!patchDirtySets(seeds, started, epoch)) {
         // Dirty-set discovery: the max-min allocation of a flow can
         // only change if it shares a resource (transitively) with a
         // changed one, so BFS over the flow<->resource bipartite
         // graph from the seed resources bounds the re-solve to the
-        // affected connected component(s).
+        // affected connected component(s). Counting the roots that
+        // find flows tells whether they found one component.
+        dirtyRes_.clear();
+        dirtyFlows_.clear();
         bfsStack_.clear();
+        std::size_t roots = 0;
         for (ResourceId r : seeds) {
-            Resource &res = resources_[static_cast<std::size_t>(r)];
-            if (res.mark == epoch)
+            Resource &root = resources_[static_cast<std::size_t>(r)];
+            if (root.mark == epoch)
                 continue;
-            res.mark = epoch;
-            dirtyRes_.push_back(&res);
-            bfsStack_.push_back(&res);
-        }
-        while (!bfsStack_.empty()) {
-            Resource *res = bfsStack_.back();
-            bfsStack_.pop_back();
-            for (Flow *f : res->active) {
-                if (f->mark == epoch)
-                    continue;
-                f->mark = epoch;
-                dirtyFlows_.push_back(f);
-                for (ResourceId pr : f->path) {
-                    Resource &o =
-                        resources_[static_cast<std::size_t>(pr)];
-                    if (o.mark == epoch)
+            root.mark = epoch;
+            dirtyRes_.push_back(&root);
+            const std::size_t found = dirtyFlows_.size();
+            bfsStack_.push_back(&root);
+            while (!bfsStack_.empty()) {
+                Resource *res = bfsStack_.back();
+                bfsStack_.pop_back();
+                for (Flow *f : res->active) {
+                    if (f->mark == epoch)
                         continue;
-                    o.mark = epoch;
-                    dirtyRes_.push_back(&o);
-                    bfsStack_.push_back(&o);
+                    f->mark = epoch;
+                    dirtyFlows_.push_back(f);
+                    for (ResourceId pr : f->path) {
+                        Resource &o =
+                            resources_[static_cast<std::size_t>(pr)];
+                        if (o.mark == epoch)
+                            continue;
+                        o.mark = epoch;
+                        dirtyRes_.push_back(&o);
+                        bfsStack_.push_back(&o);
+                    }
                 }
             }
+            roots += dirtyFlows_.size() > found;
         }
+        dirtyConnected_ = roots == 1;
         orderDirtySets(epoch);
     }
-    dirtyResourceVisits_.add(
-        static_cast<int64_t>(dirtyRes_.size()));
-    rateRecomputeVisits_.add(
-        static_cast<int64_t>(dirtyFlows_.size()));
+    dirtyDropped_ = 0;
 
     // Progressive filling (Bertsekas & Gallager) restricted to the
     // dirty component: repeatedly saturate the resource with the
@@ -459,22 +624,37 @@ FlowNetwork::resolve(const std::vector<ResourceId> &seeds)
     // flows outside the component share no resource with it, so the
     // global solve would perform bit-identical arithmetic on the
     // component and leave the rest untouched.
-    const std::size_t nres = dirtyRes_.size();
-    if (fair_.size() < nres)
-        fair_.resize(nres);
-    for (std::size_t i = 0; i < nres; ++i) {
-        Resource &res = *dirtyRes_[i];
-        res.residual = res.capacity;
-        res.unfrozen = res.active.size();
-        res.pos = i;
-        fair_[i] = res.fairShare();
+    //
+    // The init walks also finish a patch: members left idle drop out
+    // unless marked this solve (seeds, and every resource the BFS or
+    // reference mode lists), as do the null entries of detached flows.
+    if (fair_.size() < dirtyRes_.size())
+        fair_.resize(dirtyRes_.size());
+    std::size_t nres = 0;
+    for (Resource *res : dirtyRes_) {
+        if (res->active.empty() && res->mark != epoch)
+            continue;
+        dirtyRes_[nres] = res;
+        res->residual = res->capacity;
+        res->unfrozen = res->active.size();
+        res->pos = nres;
+        fair_[nres++] = res->fairShare();
     }
+    dirtyRes_.resize(nres);
+    std::size_t nflows = 0;
     for (Flow *f : dirtyFlows_) {
+        if (f == nullptr)
+            continue;
+        dirtyFlows_[nflows] = f;
+        f->dirtyPos = static_cast<uint32_t>(nflows++);
         f->prevRate = f->rate;
         f->rate = -1.0; // marks unfrozen
     }
+    dirtyFlows_.resize(nflows);
+    dirtyResourceVisits_.add(static_cast<int64_t>(nres));
+    rateRecomputeVisits_.add(static_cast<int64_t>(nflows));
 
-    std::size_t remaining_flows = dirtyFlows_.size();
+    std::size_t remaining_flows = nflows;
     while (remaining_flows > 0) {
         // The bottleneck is the first resource in index order with
         // the smallest fair share, as a strict-< scan would pick. A

@@ -14,7 +14,10 @@
  * finish, cancel, or capacity change re-solves only the connected
  * component of resources reachable from the changed resources through
  * shared flows — the only region whose bottleneck structure can
- * change — while every other flow keeps its rate bit-for-bit. Flow
+ * change — while every other flow keeps its rate bit-for-bit. That
+ * component is usually the one the previous re-solve found, so the
+ * solver patches the previous dirty set when the changed resources
+ * lie in its one component, and runs a BFS only otherwise. Flow
  * progress is integrated lazily per flow (each flow remembers the
  * last instant it was integrated and its rate is constant since), and
  * completions come from an intrusive min-heap of predicted completion
@@ -187,6 +190,9 @@ class FlowNetwork
         Bytes remaining;
         Rate rate = 0.0;
         FlowTag tag;
+        /** Position in dirtyFlows_ while the flow is in the kept
+         * dirty set (fills the padding after tag). */
+        uint32_t dirtyPos = 0;
         Callback onComplete;
         /** Telemetry: launch time and original size for flow spans. */
         SimTime start = 0.0;
@@ -232,7 +238,8 @@ class FlowNetwork
         uint64_t tagMark = 0;
         /** Progressive-filling scratch (solve-internal): residual
          * capacity, unfrozen flow count, and index in the ordered
-         * dirty set (and so in fair_). */
+         * dirty set (and so in fair_; it stays valid for the kept
+         * set until the next solve). */
         Rate residual = 0.0;
         std::size_t unfrozen = 0;
         std::size_t pos = 0;
@@ -268,10 +275,39 @@ class FlowNetwork
      * Re-solves the max-min allocation of the connected component(s)
      * reachable from `seeds`, lazily integrating and re-keying every
      * flow whose rate actually changed, then reschedules the next
-     * completion and dispatches staged callbacks. In reference-solver
-     * mode the dirty set is the whole network.
+     * completion and dispatches staged callbacks. `started` is the
+     * flow whose start caused the solve, if any. The dirty set is
+     * patched from the previous solve's when every seed lies in its
+     * one component (patchDirtySets), and found by a BFS over the
+     * flow<->resource graph otherwise: when the previous set is not
+     * one component, a seed lies outside it, or a start joins none
+     * of its flows. In reference-solver mode the dirty set is the
+     * whole network.
      */
-    void resolve(const std::vector<ResourceId> &seeds);
+    void resolve(const std::vector<ResourceId> &seeds,
+                 Flow *started = nullptr);
+
+    /** Whether `res` is in the kept dirty set (dirtyRes_). */
+    bool inDirtySet(const Resource &res) const
+    {
+        return res.pos < dirtyRes_.size() && dirtyRes_[res.pos] == &res;
+    }
+
+    /**
+     * Turns the kept dirty set into the union of the components that
+     * contain `seeds`, in order, when the kept set's busy resources
+     * form one component and every seed lies in it; otherwise leaves
+     * it alone. A patched set may still hold members left idle and
+     * null flow entries, which resolve's init walks drop; a removal's
+     * seeds are marked with `epoch` so that they stay.
+     * @return whether the set was patched.
+     */
+    bool patchDirtySets(const std::vector<ResourceId> &seeds,
+                        Flow *started, uint64_t epoch);
+
+    /** Whether the busy seeds of a patched removal, listed in
+     * patchRes_, are still connected. */
+    bool busySeedsConnected();
 
     /** Puts the BFS-found dirty sets (marked with `epoch`) in the
      * order the fill and apply passes need: resources by index,
@@ -336,9 +372,19 @@ class FlowNetwork
     uint64_t epoch_ = 0;
     /** Min-heap of active flows by predicted completion time. */
     std::vector<Flow *> heap_;
-    /** Solve scratch, reused across solves (allocation-light). */
+    /** The last solve's dirty set, kept for the next solve to patch:
+     * resources in index order, flows in id order. A detach nulls
+     * its flow's entry. */
     std::vector<Resource *> dirtyRes_;
     std::vector<Flow *> dirtyFlows_;
+    /** Flows detached from dirtyFlows_ since the last solve. */
+    std::size_t dirtyDropped_ = 0;
+    /** Whether the busy resources of the kept dirty set form one
+     * component; only then can it be patched. */
+    bool dirtyConnected_ = false;
+    /** Solve scratch, reused across solves (allocation-light). */
+    std::vector<Resource *> patchRes_;
+    std::vector<std::size_t> pieceParent_;
     /** Fair share of each dirty resource, by dirty position; +inf
      * once the resource has no unfrozen flow. Only grows: entries
      * past the current dirty set are stale. */

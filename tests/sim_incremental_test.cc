@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <ostream>
 #include <random>
 #include <string>
 #include <unordered_map>
@@ -479,6 +480,174 @@ TEST(SimIncremental, DirtySetStaysWithinComponent)
     EXPECT_LE(delta, kOps * 2 * (kFlowsPerPair + 1));
     EXPECT_LT(delta,
               kOps * kPairs * kFlowsPerPair / 4);
+}
+
+/** Flows and resources the dirty sets of some re-solves held. */
+struct Visits
+{
+    int64_t flows = 0;
+    int64_t resources = 0;
+
+    bool operator==(const Visits &) const = default;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const Visits &v)
+{
+    return os << v.flows << " flows, " << v.resources << " resources";
+}
+
+/** The visits the re-solves run by `op` add to the two counters. */
+template <typename Op>
+Visits
+visitsOf(Op &&op)
+{
+    auto &flows =
+        telemetry::metrics().counter("sim.rate_recompute_flow_visits");
+    auto &resources =
+        telemetry::metrics().counter("sim.solver.dirty_resource_visits");
+    const int64_t f0 = flows.value.load();
+    const int64_t r0 = resources.value.load();
+    op();
+    return {flows.value.load() - f0, resources.value.load() - r0};
+}
+
+// The dirty set of each re-solve must be exactly the union of the
+// components holding its seeds, whether the last set was patched or a
+// BFS found it. A larger set gives the same rates, so only these
+// counts, worked out by hand per operation, can tell.
+
+TEST(SimIncremental, StartOnResourceLeftIdleStaysOutOfOldComponent)
+{
+    Simulator sim;
+    FlowNetwork net(sim);
+    net.setReferenceSolver(false);
+    const ResourceId a = net.addResource("a", 100.0);
+    const ResourceId b = net.addResource("b", 100.0);
+    const ResourceId c = net.addResource("c", 100.0);
+    const ResourceId x = net.addResource("x", 100.0);
+    const ResourceId d = net.addResource("d", 100.0);
+    const ResourceId y = net.addResource("y", 100.0);
+    net.startFlow({a, b}, 1e9, FlowTag::kRepair, nullptr);
+    net.startFlow({b, c}, 1e9, FlowTag::kRepair, nullptr);
+    // Joins {a, b, c}: three flows over four resources.
+    EXPECT_EQ(visitsOf([&] {
+                  net.startFlow({x, b}, 10.0, FlowTag::kForeground,
+                                nullptr);
+              }),
+              (Visits{3, 4}));
+    // Its completion leaves x idle; x stays in the set as a seed.
+    EXPECT_EQ(visitsOf([&] { sim.run(1.0); }), (Visits{2, 4}));
+    ASSERT_EQ(net.activeFlowsOn(x), 0u);
+    // A start on x and an idle d is a component of its own, though x
+    // was in the last set.
+    EXPECT_EQ(visitsOf([&] {
+                  net.startFlow({x, d}, 1e9, FlowTag::kForeground,
+                                nullptr);
+              }),
+              (Visits{1, 2}));
+    // A start joining {a, b, c} again covers it alone.
+    EXPECT_EQ(visitsOf([&] {
+                  net.startFlow({c}, 1e9, FlowTag::kForeground, nullptr);
+              }),
+              (Visits{3, 3}));
+    // Leave y idle in the set the same way; the next start into
+    // {a, b, c} must drop it.
+    EXPECT_EQ(visitsOf([&] {
+                  net.startFlow({y, a}, 10.0, FlowTag::kForeground,
+                                nullptr);
+              }),
+              (Visits{4, 4}));
+    EXPECT_EQ(visitsOf([&] { sim.run(2.0); }), (Visits{3, 4}));
+    ASSERT_EQ(net.activeFlowsOn(y), 0u);
+    EXPECT_EQ(visitsOf([&] {
+                  net.startFlow({b}, 1e9, FlowTag::kForeground, nullptr);
+              }),
+              (Visits{4, 3}));
+}
+
+TEST(SimIncremental, StartAfterSplittingCancelVisitsOnePiece)
+{
+    Simulator sim;
+    FlowNetwork net(sim);
+    net.setReferenceSolver(false);
+    const ResourceId a = net.addResource("a", 100.0);
+    const ResourceId b = net.addResource("b", 100.0);
+    net.startFlow({a}, 1e9, FlowTag::kRepair, nullptr);
+    net.startFlow({b}, 1e9, FlowTag::kRepair, nullptr);
+    const FlowId bridge =
+        net.startFlow({a, b}, 1e9, FlowTag::kRepair, nullptr);
+    // The cancel re-solves both pieces it leaves: each holds a seed.
+    EXPECT_EQ(visitsOf([&] { net.cancelFlow(bridge); }), (Visits{2, 2}));
+    // A start in one piece must not drag the other along.
+    EXPECT_EQ(visitsOf([&] {
+                  net.startFlow({a}, 1e9, FlowTag::kForeground, nullptr);
+              }),
+              (Visits{2, 1}));
+    EXPECT_EQ(visitsOf([&] {
+                  net.startFlow({a}, 1e9, FlowTag::kForeground, nullptr);
+              }),
+              (Visits{3, 1}));
+    // A cancel that splits nothing: the piece keeps its two others.
+    const FlowId last =
+        net.startFlow({a}, 1e9, FlowTag::kForeground, nullptr);
+    EXPECT_EQ(visitsOf([&] { net.cancelFlow(last); }), (Visits{3, 1}));
+}
+
+TEST(SimIncremental, SimultaneousCompletionsInTwoComponents)
+{
+    Simulator sim;
+    FlowNetwork net(sim);
+    net.setReferenceSolver(false);
+    const ResourceId a = net.addResource("a", 100.0);
+    const ResourceId b = net.addResource("b", 100.0);
+    // Each resource carries a long flow and a 50-byte one at 50 B/s,
+    // so both short flows finish at t = 1 in one completion event.
+    net.startFlow({a}, 1e9, FlowTag::kRepair, nullptr);
+    net.startFlow({a}, 50.0, FlowTag::kForeground, nullptr);
+    net.startFlow({b}, 1e9, FlowTag::kRepair, nullptr);
+    net.startFlow({b}, 50.0, FlowTag::kForeground, nullptr);
+    EXPECT_EQ(visitsOf([&] { sim.run(1.5); }), (Visits{2, 2}));
+    EXPECT_EQ(net.activeFlowCount(), 2u);
+    EXPECT_EQ(visitsOf([&] {
+                  net.startFlow({b}, 1e9, FlowTag::kForeground, nullptr);
+              }),
+              (Visits{2, 1}));
+}
+
+TEST(SimIncremental, CapacityChangeVisitsTheMembersComponent)
+{
+    Simulator sim;
+    FlowNetwork net(sim);
+    net.setReferenceSolver(false);
+    const ResourceId a = net.addResource("a", 100.0);
+    const ResourceId b = net.addResource("b", 100.0);
+    const ResourceId c = net.addResource("c", 100.0);
+    const ResourceId x = net.addResource("x", 100.0);
+    net.startFlow({a, b}, 1e9, FlowTag::kRepair, nullptr);
+    net.startFlow({b, c}, 1e9, FlowTag::kRepair, nullptr);
+    net.startFlow({x, c}, 10.0, FlowTag::kForeground, nullptr);
+    // A busy member: its whole component.
+    EXPECT_EQ(visitsOf([&] { net.setCapacity(a, 50.0); }),
+              (Visits{3, 4}));
+    EXPECT_EQ(visitsOf([&] { sim.run(1.0); }), (Visits{2, 4}));
+    ASSERT_EQ(net.activeFlowsOn(x), 0u);
+    // The completion left x idle in the set; a change elsewhere in the
+    // component drops it.
+    EXPECT_EQ(visitsOf([&] { net.setCapacity(b, 80.0); }),
+              (Visits{2, 3}));
+    EXPECT_EQ(visitsOf([&] {
+                  net.startFlow({x, c}, 10.0, FlowTag::kForeground,
+                                nullptr);
+              }),
+              (Visits{3, 4}));
+    EXPECT_EQ(visitsOf([&] { sim.run(2.0); }), (Visits{2, 4}));
+    ASSERT_EQ(net.activeFlowsOn(x), 0u);
+    // A member the last solve left idle: itself only.
+    EXPECT_EQ(visitsOf([&] { net.setCapacity(x, 50.0); }),
+              (Visits{0, 1}));
+    EXPECT_EQ(visitsOf([&] { net.setCapacity(b, 90.0); }),
+              (Visits{2, 3}));
 }
 
 TEST(SimIncremental, CapacityChangeOnStalledComponentResumes)
