@@ -3,13 +3,13 @@
  * Microbenchmarks for the coding substrate: GF(2^8) region kernels
  * (per ISA variant and through the dispatched path), the fused
  * multi-source kernel, RS/LRC encode, single-chunk repair
- * computation, full decode, and Butterfly sub-chunk repair. These
- * verify that decoding bandwidth far exceeds simulated link
- * bandwidth — the paper's premise for treating the network, not the
- * CPU, as the repair bottleneck (Section II-B) — and report GB/s per
- * kernel so regressions in the SIMD layer land in the bench
- * trajectory. The reported "bytes_per_second" counter for region
- * kernels is source bytes processed.
+ * computation, full decode, Butterfly sub-chunk repair, and relay-tree
+ * plan evaluation. These verify that decoding bandwidth far exceeds
+ * simulated link bandwidth — the paper's premise for treating the
+ * network, not the CPU, as the repair bottleneck (Section II-B) —
+ * and report GB/s per kernel so regressions in the SIMD layer land
+ * in the bench trajectory. The reported "bytes_per_second" counter
+ * for region kernels is source bytes processed.
  */
 
 #include <benchmark/benchmark.h>
@@ -17,6 +17,7 @@
 #include "ec/factory.hh"
 #include "gf/gf256.hh"
 #include "gf/gf_kernels.hh"
+#include "repair/plan.hh"
 #include "util/rng.hh"
 
 namespace {
@@ -293,6 +294,42 @@ BM_RsDecodeMultiFailure(benchmark::State &state)
 }
 BENCHMARK(BM_RsDecodeMultiFailure);
 
+/** Relay-tree evaluation (repair::evaluatePlan) of a PPR tree over
+ * all k helpers, 1 MiB chunks; registered in main() for rs(10,4) and
+ * rs(24,8). Bytes processed counts the repaired chunk, as for
+ * repairCompute. */
+void
+BM_PlanEvaluate(benchmark::State &state, std::string spec)
+{
+    auto code = ec::makeCode(spec);
+    Rng rng(9);
+    std::vector<ec::Buffer> chunks;
+    for (int i = 0; i < code->k(); ++i)
+        chunks.push_back(randomChunk(rng, 1 << 20));
+    for (auto &p : code->encode(chunks))
+        chunks.push_back(std::move(p));
+    std::vector<ChunkIndex> avail;
+    for (ChunkIndex c = 1; c < code->n(); ++c)
+        avail.push_back(c);
+    auto repair = code->makeRepairSpec(0, avail, rng);
+    std::vector<repair::PlanSource> sources;
+    for (std::size_t i = 0; i < repair.reads.size(); ++i) {
+        repair::PlanSource src;
+        src.node = static_cast<NodeId>(i + 1);
+        src.chunk = repair.reads[i].helper;
+        src.coeff = repair.reads[i].coeff;
+        sources.push_back(src);
+    }
+    const auto plan = repair::buildPprPlan(0, 0, 0, std::move(sources));
+    for (auto _ : state) {
+        auto out = repair::evaluatePlan(plan, chunks);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(
+        static_cast<int64_t>(state.iterations()) * (1 << 20));
+}
+
 } // namespace
 
 /**
@@ -318,6 +355,12 @@ main(int argc, char **argv)
         std::string name =
             std::string("BM_CodecRepair/") + spec + "/1MiB";
         benchmark::RegisterBenchmark(name.c_str(), BM_CodecRepair,
+                                     std::string(spec));
+    }
+    for (const char *spec : {"rs(10,4)", "rs(24,8)"}) {
+        std::string name =
+            std::string("BM_PlanEvaluate/") + spec + "/1MiB";
+        benchmark::RegisterBenchmark(name.c_str(), BM_PlanEvaluate,
                                      std::string(spec));
     }
     benchmark::AddCustomContext("gf_kernel", gf::kernelName());

@@ -165,6 +165,7 @@ EcDag::validate() const
     CHAMELEON_ASSERT(root_ != kInvalidVertex, "DAG has no root");
     const int n = vertexCount();
     std::set<int> leaves_seen;
+    std::vector<int> consumers(static_cast<std::size_t>(n), 0);
     for (VertexId v = 0; v < n; ++v) {
         const auto &vert = vertices_[static_cast<std::size_t>(v)];
         CHAMELEON_ASSERT(vert.node != kInvalidNode,
@@ -191,6 +192,11 @@ EcDag::validate() const
             CHAMELEON_ASSERT(dedup.insert(s).second,
                              "vertex ", v, " duplicate in-edge from ",
                              s);
+            // Every partial result reaches the root exactly once: the
+            // DAG generalizes topology (bounded fan-in, co-located
+            // hops, local reads), not contribution sharing.
+            CHAMELEON_ASSERT(++consumers[static_cast<std::size_t>(s)] == 1,
+                             "vertex ", s, " feeds more than one vertex");
         }
     }
     // topoOrder panics on cycles; reachability of the root covers the
@@ -217,34 +223,76 @@ evaluateDag(const EcDag &dag,
     CHAMELEON_ASSERT(dag.combinable,
                      "evaluateDag handles combinable DAGs only");
     dag.validate();
-    const std::size_t size =
-        stripe_data[static_cast<std::size_t>(
-            dag.sources()[0].chunk)].size();
+    std::size_t size = 0;
+    for (std::size_t i = 0; i < dag.sources().size(); ++i) {
+        const ChunkIndex c = dag.sources()[i].chunk;
+        CHAMELEON_ASSERT(c >= 0 && static_cast<std::size_t>(c) <
+                                       stripe_data.size(),
+                         "source chunk ", c, " out of range");
+        const std::size_t n =
+            stripe_data[static_cast<std::size_t>(c)].size();
+        if (i == 0)
+            size = n;
+        CHAMELEON_ASSERT(n == size, "chunk sizes differ: chunk ", c,
+                         " has ", n, " bytes, expected ", size);
+    }
 
-    // One fused kernel pass per internal vertex — the same
-    // combination a relay computes before uploading, so the result
-    // matches evaluatePlan byte for byte on lowered trees.
+    // validate() gives every non-root vertex exactly one consumer, so
+    // each internal value is read once: a vertex folds its other
+    // terms, in one fused call, into the buffer of an internal input
+    // whose edge coefficient is 1 (every combine vertex of a lowered
+    // tree has one), or else into a spare buffer holding its first
+    // term. Inputs' buffers are released to `spare` once folded.
     std::vector<ec::Buffer> value(
         static_cast<std::size_t>(dag.vertexCount()));
+    std::vector<ec::Buffer> spare;
     for (VertexId v : dag.topoOrder()) {
         const auto &vert = dag.vertex(v);
         if (vert.isLeaf())
             continue;
-        ec::Buffer buf(size, 0);
-        std::vector<const gf::Elem *> srcs;
-        srcs.reserve(vert.in.size());
-        for (VertexId s : vert.in) {
-            const auto &sv = dag.vertex(s);
-            srcs.push_back(
-                sv.isLeaf()
-                    ? stripe_data[static_cast<std::size_t>(
-                          dag.sources()[static_cast<std::size_t>(
-                              sv.source)].chunk)].data()
-                    : value[static_cast<std::size_t>(s)].data());
+        auto term = [&](std::size_t i) -> const gf::Elem * {
+            const auto &sv = dag.vertex(vert.in[i]);
+            if (!sv.isLeaf())
+                return value[static_cast<std::size_t>(vert.in[i])].data();
+            return stripe_data[static_cast<std::size_t>(
+                dag.sources()[static_cast<std::size_t>(sv.source)].chunk)]
+                .data();
+        };
+        std::size_t first = 0;
+        while (first < vert.in.size() &&
+               (dag.vertex(vert.in[first]).isLeaf() ||
+                vert.coeffs[first] != gf::kOne))
+            ++first;
+        ec::Buffer acc;
+        if (first < vert.in.size()) {
+            acc = std::move(value[static_cast<std::size_t>(vert.in[first])]);
+        } else {
+            first = 0;
+            if (spare.empty()) {
+                acc = ec::Buffer(size);
+            } else {
+                acc = std::move(spare.back());
+                spare.pop_back();
+            }
+            gf::mulRegion(std::span<uint8_t>(acc),
+                          std::span<const uint8_t>(term(0), size),
+                          vert.coeffs[0]);
         }
-        gf::mulAddRegionMulti(std::span<uint8_t>(buf), srcs,
-                              vert.coeffs);
-        value[static_cast<std::size_t>(v)] = std::move(buf);
+        std::vector<const gf::Elem *> srcs;
+        std::vector<gf::Elem> coeffs;
+        for (std::size_t i = 0; i < vert.in.size(); ++i) {
+            if (i == first)
+                continue;
+            srcs.push_back(term(i));
+            coeffs.push_back(vert.coeffs[i]);
+        }
+        gf::mulAddRegionMulti(std::span<uint8_t>(acc), srcs, coeffs);
+        for (std::size_t i = 0; i < vert.in.size(); ++i) {
+            auto &in = value[static_cast<std::size_t>(vert.in[i])];
+            if (i != first && !in.empty())
+                spare.push_back(std::move(in));
+        }
+        value[static_cast<std::size_t>(v)] = std::move(acc);
     }
     return std::move(value[static_cast<std::size_t>(dag.root())]);
 }

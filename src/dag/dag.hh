@@ -135,9 +135,11 @@ class EcDag
     /**
      * Panics if malformed: no root, unbound vertices, leaf Join
      * targets, out-of-range or duplicate in-edges, coefficient count
-     * mismatches, cycles, vertices that cannot reach the root,
-     * internal vertices without in-edges, a leaf source used twice,
-     * or internal vertices in a non-combinable DAG.
+     * mismatches, cycles, vertices that cannot reach the root, a
+     * vertex feeding more than one vertex (so every non-root vertex
+     * has out-degree 1), internal vertices without in-edges, a leaf
+     * source used twice, or internal vertices in a non-combinable
+     * DAG.
      */
     void validate() const;
 
@@ -151,9 +153,12 @@ class EcDag
  * Byte-exact reference evaluation used by tests: folds real chunk
  * data through the DAG exactly as the executing nodes would, one
  * fused mulAddRegionMulti pass per vertex (combinable DAGs only —
- * mirroring evaluatePlan's contract).
+ * mirroring evaluatePlan's contract). Evaluates in place: a vertex
+ * folds into an input's buffer and freed buffers are reused, so
+ * only the partial results alive at once are held.
  *
- * @param stripe_data  all n chunks of the stripe.
+ * @param stripe_data  all n chunks of the stripe; every chunk a
+ *                     source reads must have the same size.
  * @return the reconstructed chunk (the root's value).
  */
 ec::Buffer evaluateDag(const EcDag &dag,

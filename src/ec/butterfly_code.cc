@@ -70,6 +70,24 @@ rowOf(Buffer &chunk, int row)
         static_cast<std::size_t>(row) * half, half);
 }
 
+/**
+ * Writes dsts[r] ^= XOR of the data symbols in masks[r], for every
+ * listed stored row, in one fused pass that reads each of the four
+ * half-chunk symbols once.
+ */
+void
+xorRows(const std::array<const gf::Elem *, 4> &sym, std::size_t half,
+        std::span<gf::Elem *const> dsts, std::span<const RowMask> masks)
+{
+    std::array<gf::Elem, 16> coeffs{};
+    for (std::size_t r = 0; r < masks.size(); ++r)
+        for (std::size_t s = 0; s < 4; ++s)
+            coeffs[r * 4 + s] = (masks[r] >> s) & 1u;
+    gf::mulAddRegionMatrix(dsts, half, sym,
+                           std::span<const gf::Elem>(coeffs.data(),
+                                                     masks.size() * 4));
+}
+
 } // namespace
 
 std::vector<Buffer>
@@ -82,32 +100,21 @@ ButterflyCode::encode(const std::vector<Buffer> &data) const
                      "Butterfly needs an even chunk size, got ", size);
 
     std::vector<Buffer> parity(2, Buffer(size, 0));
-    // Symbol buffers: a0,a1 from data[0]; b0,b1 from data[1].
-    std::array<std::span<const uint8_t>, 4> sym = {
-        rowOf(data[0], 0), rowOf(data[0], 1),
-        rowOf(data[1], 0), rowOf(data[1], 1)};
+    // Symbols: a0,a1 from data[0]; b0,b1 from data[1].
+    const std::array<const gf::Elem *, 4> sym = {
+        rowOf(data[0], 0).data(), rowOf(data[0], 1).data(),
+        rowOf(data[1], 0).data(), rowOf(data[1], 1).data()};
+    std::array<gf::Elem *, 4> dsts;
+    std::array<RowMask, 4> masks;
     for (int node = 2; node < 4; ++node) {
         for (int row = 0; row < 2; ++row) {
-            auto dst = rowOf(parity[static_cast<std::size_t>(node - 2)],
-                             row);
-            RowMask mask = kRowMask[node][row];
-            // One fused XOR pass over all symbols in the mask.
-            std::array<const gf::Elem *, 4> srcs;
-            std::array<gf::Elem, 4> coeffs;
-            std::size_t cnt = 0;
-            for (int s = 0; s < 4; ++s) {
-                if (mask & (1u << s)) {
-                    srcs[cnt] =
-                        sym[static_cast<std::size_t>(s)].data();
-                    coeffs[cnt] = gf::kOne;
-                    ++cnt;
-                }
-            }
-            gf::mulAddRegionMulti(
-                dst, std::span<const gf::Elem *const>(srcs.data(), cnt),
-                std::span<const gf::Elem>(coeffs.data(), cnt));
+            const auto r = static_cast<std::size_t>((node - 2) * 2 + row);
+            dsts[r] = rowOf(parity[static_cast<std::size_t>(node - 2)],
+                            row).data();
+            masks[r] = kRowMask[node][row];
         }
     }
+    xorRows(sym, size / 2, dsts, masks);
     return parity;
 }
 
@@ -191,6 +198,9 @@ ButterflyCode::repairCompute(const RepairSpec &spec,
                      "helper data count mismatch");
     const RepairRecipe &recipe = recipeFor(spec.failed);
     const std::size_t size = helper_data[0].size();
+    for (const auto &h : helper_data)
+        CHAMELEON_ASSERT(h.size() == size, "helper chunk sizes differ: ",
+                         h.size(), " vs ", size);
     CHAMELEON_ASSERT(size % 2 == 0, "odd chunk size");
 
     // Map helper chunk index -> position in helper_data.
@@ -254,10 +264,12 @@ ButterflyCode::decode(std::vector<Buffer> &chunks) const
     std::size_t size = 0;
     int present = 0;
     for (const auto &c : chunks) {
-        if (!c.empty()) {
-            ++present;
+        if (c.empty())
+            continue;
+        if (present++ == 0)
             size = c.size();
-        }
+        CHAMELEON_ASSERT(c.size() == size, "chunk sizes differ: ",
+                         c.size(), " vs ", size);
     }
     if (present == 4)
         return true;
@@ -309,30 +321,26 @@ ButterflyCode::decode(std::vector<Buffer> &chunks) const
                          "solved symbol has wrong size");
     }
 
+    // Every lost stored row is one output of a single fused pass
+    // over the four solved symbols.
+    const std::array<const gf::Elem *, 4> sym_ptrs = {
+        sym[0].data(), sym[1].data(), sym[2].data(), sym[3].data()};
+    std::array<gf::Elem *, 4> dsts;
+    std::array<RowMask, 4> masks;
+    std::size_t rows = 0;
     for (int node = 0; node < 4; ++node) {
         auto &c = chunks[static_cast<std::size_t>(node)];
         if (!c.empty())
             continue;
         c.assign(size, 0);
         for (int row = 0; row < 2; ++row) {
-            auto dst = rowOf(c, row);
-            RowMask mask = kRowMask[node][row];
-            std::array<const gf::Elem *, 4> srcs;
-            std::array<gf::Elem, 4> coeffs;
-            std::size_t cnt = 0;
-            for (int s = 0; s < 4; ++s) {
-                if (mask & (1u << s)) {
-                    srcs[cnt] =
-                        sym[static_cast<std::size_t>(s)].data();
-                    coeffs[cnt] = gf::kOne;
-                    ++cnt;
-                }
-            }
-            gf::mulAddRegionMulti(
-                dst, std::span<const gf::Elem *const>(srcs.data(), cnt),
-                std::span<const gf::Elem>(coeffs.data(), cnt));
+            dsts[rows] = rowOf(c, row).data();
+            masks[rows++] = kRowMask[node][row];
         }
     }
+    xorRows(sym_ptrs, half,
+            std::span<gf::Elem *const>(dsts.data(), rows),
+            std::span<const RowMask>(masks.data(), rows));
     return true;
 }
 

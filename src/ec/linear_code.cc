@@ -35,20 +35,23 @@ LinearCode::encode(const std::vector<Buffer> &data) const
     for (const auto &d : data)
         CHAMELEON_ASSERT(d.size() == size, "chunk sizes differ");
 
-    // One fused kernel call per parity chunk: the row of G applied to
-    // all k data chunks in a single cache-blocked pass.
+    // One fused kernel call for all m parity rows of G, so each data
+    // chunk is read once for the whole stripe.
     std::vector<const gf::Elem *> srcs(static_cast<std::size_t>(k_));
     for (int j = 0; j < k_; ++j)
         srcs[static_cast<std::size_t>(j)] =
             data[static_cast<std::size_t>(j)].data();
-    std::vector<gf::Elem> coeffs(static_cast<std::size_t>(k_));
-    std::vector<Buffer> parity(m_, Buffer(size, 0));
-    for (int p = 0; p < m_; ++p) {
+    std::vector<gf::Elem> coeffs;
+    coeffs.reserve(static_cast<std::size_t>(m_ * k_));
+    for (int p = 0; p < m_; ++p)
         for (int j = 0; j < k_; ++j)
-            coeffs[static_cast<std::size_t>(j)] = gen_.at(k_ + p, j);
-        gf::mulAddRegionMulti(std::span<uint8_t>(parity[p]), srcs,
-                              coeffs);
-    }
+            coeffs.push_back(gen_.at(k_ + p, j));
+    std::vector<Buffer> parity;
+    std::vector<gf::Elem *> dsts;
+    parity.reserve(static_cast<std::size_t>(m_));
+    for (int p = 0; p < m_; ++p)
+        dsts.push_back(parity.emplace_back(size).data());
+    gf::mulAddRegionMatrix(dsts, size, srcs, coeffs);
     return parity;
 }
 
@@ -326,12 +329,16 @@ LinearCode::decode(std::vector<Buffer> &chunks) const
     std::vector<ChunkIndex> missing;
     std::size_t size = 0;
     for (ChunkIndex i = 0; i < n(); ++i) {
-        if (chunks[i].empty()) {
+        const auto &c = chunks[static_cast<std::size_t>(i)];
+        if (c.empty()) {
             missing.push_back(i);
-        } else {
-            survivors.push_back(i);
-            size = chunks[i].size();
+            continue;
         }
+        if (survivors.empty())
+            size = c.size();
+        CHAMELEON_ASSERT(c.size() == size, "chunk sizes differ: ",
+                         c.size(), " vs ", size, " at chunk ", i);
+        survivors.push_back(i);
     }
     if (missing.empty())
         return true;
@@ -339,24 +346,27 @@ LinearCode::decode(std::vector<Buffer> &chunks) const
     // A missing chunk is recoverable iff its generator row lies in
     // the span of the survivor rows; expressing it as a combination
     // handles both MDS (RS) and non-MDS (LRC) patterns uniformly.
-    std::vector<std::vector<gf::Elem>> coeff_sets;
-    coeff_sets.reserve(missing.size());
+    // Every missing chunk reads the same survivors, so the rows form
+    // one coefficient matrix and the survivors are read once.
+    std::vector<gf::Elem> coeffs;
+    coeffs.reserve(missing.size() * survivors.size());
     for (ChunkIndex miss : missing) {
-        auto coeffs = repairCoeffs(miss, survivors);
-        if (!coeffs)
+        auto row = repairCoeffs(miss, survivors);
+        if (!row)
             return false;
-        coeff_sets.push_back(std::move(*coeffs));
+        coeffs.insert(coeffs.end(), row->begin(), row->end());
     }
     std::vector<const gf::Elem *> srcs(survivors.size());
     for (std::size_t i = 0; i < survivors.size(); ++i)
         srcs[i] =
             chunks[static_cast<std::size_t>(survivors[i])].data();
-    for (std::size_t mi = 0; mi < missing.size(); ++mi) {
-        Buffer out(size, 0);
-        gf::mulAddRegionMulti(std::span<uint8_t>(out), srcs,
-                              coeff_sets[mi]);
-        chunks[static_cast<std::size_t>(missing[mi])] = std::move(out);
+    std::vector<gf::Elem *> dsts;
+    for (ChunkIndex miss : missing) {
+        auto &out = chunks[static_cast<std::size_t>(miss)];
+        out.assign(size, 0);
+        dsts.push_back(out.data());
     }
+    gf::mulAddRegionMatrix(dsts, size, srcs, coeffs);
     return true;
 }
 

@@ -1,5 +1,6 @@
 #include "gf/gf256.hh"
 
+#include <algorithm>
 #include <array>
 
 #include "gf/gf_kernels.hh"
@@ -131,43 +132,80 @@ addRegion(std::span<Elem> dst, std::span<const Elem> src)
 }
 
 void
+mulAddRegionMatrix(std::span<Elem *const> dsts, std::size_t size,
+                   std::span<const Elem *const> srcs,
+                   std::span<const Elem> coeffs)
+{
+    const std::size_t ndst = dsts.size();
+    const std::size_t nsrc = srcs.size();
+    CHAMELEON_ASSERT(coeffs.size() == ndst * nsrc,
+                     "coefficient matrix has ", coeffs.size(),
+                     " entries, want ", ndst, " x ", nsrc);
+    // Small fixed batches keep the compacted matrix below on the
+    // stack: at most kMaxDst rows per kernel call (more rows split by
+    // rows, which the row-major layout makes contiguous) and kBatch
+    // columns (a longer source list goes in further batches).
+    constexpr std::size_t kMaxDst = 8;
+    constexpr std::size_t kBatch = 64;
+    if (ndst > kMaxDst) {
+        for (std::size_t o = 0; o < ndst; o += kMaxDst) {
+            const std::size_t rows = std::min(kMaxDst, ndst - o);
+            mulAddRegionMatrix(dsts.subspan(o, rows), size, srcs,
+                               coeffs.subspan(o * nsrc, rows * nsrc));
+        }
+        return;
+    }
+    if (size == 0 || ndst == 0)
+        return;
+    for (const Elem *d : dsts)
+        CHAMELEON_ASSERT(d != nullptr, "null destination region");
+
+    // Drop only sources whose whole column is zero: zeros inside a
+    // column stay in the matrix, and the kernels handle them.
+    std::array<std::size_t, kBatch> cols;
+    std::size_t cnt = 0;
+    auto flush = [&] {
+        std::array<const Elem *, kBatch> fsrcs;
+        std::array<Elem, kBatch * kMaxDst> fcoeffs;
+        int64_t nonzero = 0;
+        for (std::size_t b = 0; b < cnt; ++b) {
+            fsrcs[b] = srcs[cols[b]];
+            for (std::size_t o = 0; o < ndst; ++o) {
+                const Elem c = coeffs[o * nsrc + cols[b]];
+                fcoeffs[o * cnt + b] = c;
+                nonzero += c != 0;
+            }
+        }
+        detail::activeKernels().mulAddMulti(dsts.data(), ndst,
+                                            fsrcs.data(), fcoeffs.data(),
+                                            cnt, size);
+        counters().multi.add(nonzero * static_cast<int64_t>(size));
+        cnt = 0;
+    };
+    for (std::size_t j = 0; j < nsrc; ++j) {
+        bool live = false;
+        for (std::size_t o = 0; o < ndst; ++o)
+            live = live || coeffs[o * nsrc + j] != 0;
+        if (!live)
+            continue;
+        CHAMELEON_ASSERT(srcs[j] != nullptr, "null source region");
+        cols[cnt] = j;
+        if (++cnt == kBatch)
+            flush();
+    }
+    if (cnt > 0)
+        flush();
+}
+
+void
 mulAddRegionMulti(std::span<Elem> dst, std::span<const Elem *const> srcs,
                   std::span<const Elem> coeffs)
 {
     CHAMELEON_ASSERT(srcs.size() == coeffs.size(),
                      "source/coefficient count mismatch: ",
                      srcs.size(), " vs ", coeffs.size());
-    if (dst.empty() || srcs.empty())
-        return;
-
-    // Strip zero coefficients so kernels see only real work; small
-    // fixed batches keep the filtered arrays on the stack (repair
-    // plans are capped well below this by the executor's mask width).
-    constexpr std::size_t kBatch = 64;
-    std::array<const Elem *, kBatch> fsrcs;
-    std::array<Elem, kBatch> fcoeffs;
-    std::size_t cnt = 0;
-    for (std::size_t i = 0; i < srcs.size(); ++i) {
-        if (coeffs[i] == 0)
-            continue;
-        CHAMELEON_ASSERT(srcs[i] != nullptr, "null source region");
-        fsrcs[cnt] = srcs[i];
-        fcoeffs[cnt] = coeffs[i];
-        if (++cnt == kBatch) {
-            detail::activeKernels().mulAddMulti(
-                dst.data(), fsrcs.data(), fcoeffs.data(), cnt,
-                dst.size());
-            counters().multi.add(
-                static_cast<int64_t>(cnt * dst.size()));
-            cnt = 0;
-        }
-    }
-    if (cnt > 0) {
-        detail::activeKernels().mulAddMulti(dst.data(), fsrcs.data(),
-                                            fcoeffs.data(), cnt,
-                                            dst.size());
-        counters().multi.add(static_cast<int64_t>(cnt * dst.size()));
-    }
+    Elem *const dsts[1] = {dst.data()};
+    mulAddRegionMatrix(dsts, dst.size(), srcs, coeffs);
 }
 
 const char *

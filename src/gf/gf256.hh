@@ -7,7 +7,7 @@
  * Jerasure/GF-complete default to for w = 8. Single-element
  * multiplication uses log/antilog tables; bulk chunk operations go
  * through the region kernels (mulAddRegion / mulRegion / addRegion /
- * mulAddRegionMulti), which dispatch once at startup to the fastest
+ * mulAddRegionMatrix), which dispatch once at startup to the fastest
  * compiled-in variant the CPU supports (AVX2 > SSSE3 > 64-bit SWAR >
  * scalar reference; see gf_kernels.hh for the contract and
  * gf_dispatch.cc for the selection policy). All variants are
@@ -66,15 +66,27 @@ void mulRegion(std::span<Elem> dst, std::span<const Elem> src, Elem coeff);
 void addRegion(std::span<Elem> dst, std::span<const Elem> src);
 
 /**
- * Fused multi-source axpy: dst ^= sum_i coeffs[i] * srcs[i], the
- * whole right-hand side of Equation (1) in one cache-blocked pass.
+ * Fused matrix axpy over regions: for every output o,
+ * dsts[o] ^= sum_j coeffs[o * srcs.size() + j] * srcs[j], with the
+ * coefficient matrix row-major, one row per output.
  *
- * Encoding a parity chunk, decoding an erased chunk, and a relay's
- * partial-decode combination are all single calls here: the
- * destination is streamed through once while every source folds into
- * an in-register accumulator, instead of one full read-modify-write
- * pass per source. Zero coefficients are skipped. Every source must
- * be at least dst.size() bytes and must not overlap dst.
+ * Encoding all m parity chunks, decoding every erased chunk of a
+ * stripe, and a relay's partial-decode combination (the right-hand
+ * side of Equation (1)) are each one call here: every source block
+ * is read once for all outputs while the outputs' accumulators stay
+ * in registers, instead of one full pass per coefficient. A source
+ * whose whole column is zero is never read; zeros inside a column
+ * are allowed. Every region must be at least `size` bytes, and no
+ * output may overlap a source or another output.
+ */
+void mulAddRegionMatrix(std::span<Elem *const> dsts, std::size_t size,
+                        std::span<const Elem *const> srcs,
+                        std::span<const Elem> coeffs);
+
+/**
+ * Single-output mulAddRegionMatrix: dst ^= sum_i coeffs[i] * srcs[i]
+ * in one cache-blocked pass. Zero coefficients are skipped. Every
+ * source must be at least dst.size() bytes and must not overlap dst.
  */
 void mulAddRegionMulti(std::span<Elem> dst,
                        std::span<const Elem *const> srcs,

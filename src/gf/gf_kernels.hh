@@ -7,8 +7,12 @@
  * operations; gf_dispatch.cc picks one at startup based on compiled-in
  * variants and runtime CPU features. The public entry points in
  * gf256.cc handle the coeff == 0 / coeff == 1 special cases and
- * telemetry, then jump through the selected table, so kernels may
- * assume a general nonzero coefficient.
+ * telemetry, then jump through the selected table, so the
+ * single-source kernels may assume a general nonzero coefficient.
+ * The fused mulAddMulti is the exception: the public entry drops only
+ * all-zero columns, so zeros may sit inside a coefficient row. SIMD
+ * variants multiply through all-zero nibble tables; the scalar
+ * reference must skip them, since its log table has no entry for 0.
  *
  * Alignment contract: kernels accept arbitrarily (mis)aligned
  * pointers and any length, including zero — SIMD variants use
@@ -42,13 +46,15 @@ struct NibbleTables
     alignas(16) uint8_t hi[16];
 };
 
-/** Builds the split-nibble tables for `c` from the log/exp tables. */
+/** Builds the split-nibble tables for `c` from the log/exp tables
+ * (all zeros for c == 0). */
 NibbleTables makeNibbleTables(uint8_t c);
 
 /**
  * One ISA variant's region kernels. All pointers are unrestricted in
- * alignment; dst must not overlap any source. Coefficients are
- * nonzero (the dispatcher strips zeros).
+ * alignment; no destination may overlap a source or another
+ * destination. Single-source coefficients are nonzero (the
+ * dispatcher strips zeros).
  */
 struct Kernels
 {
@@ -62,12 +68,16 @@ struct Kernels
     /** dst[i] ^= src[i] for i < n. */
     void (*add)(uint8_t *dst, const uint8_t *src, std::size_t n);
     /**
-     * Fused multi-source axpy: dst[i] ^= XOR_j coeffs[j]*srcs[j][i]
-     * for i < n, j < nsrc. Applies every source to a destination
-     * block before moving on, so dst traffic stays in cache (SIMD
-     * variants keep the accumulator in registers across sources).
+     * Fused matrix axpy over regions: for o < ndst and i < n,
+     * dsts[o][i] ^= XOR_j coeffs[o * nsrc + j] * srcs[j][i], j < nsrc.
+     * The coefficient matrix is row-major, one row per destination,
+     * and may hold zeros. Every source block is read once for all
+     * destinations of a group before moving on (SIMD variants keep
+     * the destinations' accumulators in registers), so neither
+     * sources nor destinations are streamed once per coefficient.
      */
-    void (*mulAddMulti)(uint8_t *dst, const uint8_t *const *srcs,
+    void (*mulAddMulti)(uint8_t *const *dsts, std::size_t ndst,
+                        const uint8_t *const *srcs,
                         const uint8_t *coeffs, std::size_t nsrc,
                         std::size_t n);
 };
@@ -118,10 +128,10 @@ const Kernels &activeKernels();
 
 /**
  * Generic cache-blocked mulAddMulti built on a single-source mulAdd;
- * used by the scalar and SWAR variants.
+ * used by the scalar and SWAR variants. Skips zero coefficients.
  */
-void blockedMulAddMulti(const Kernels &k, uint8_t *dst,
-                        const uint8_t *const *srcs,
+void blockedMulAddMulti(const Kernels &k, uint8_t *const *dsts,
+                        std::size_t ndst, const uint8_t *const *srcs,
                         const uint8_t *coeffs, std::size_t nsrc,
                         std::size_t n);
 

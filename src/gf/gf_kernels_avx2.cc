@@ -119,32 +119,88 @@ avx2Add(uint8_t *dst, const uint8_t *src, std::size_t n)
         scalarKernels().add(dst + i, src + i, n - i);
 }
 
-void
-avx2MulAddMulti(uint8_t *dst, const uint8_t *const *srcs,
-                const uint8_t *coeffs, std::size_t nsrc, std::size_t n)
+/**
+ * Folds `cnt` sources into N destinations over every whole 32-byte
+ * strip of [0, n); tabs[j * N + o] holds coefficient (o, j). Each
+ * source strip is loaded and split into nibbles once, then folded
+ * into every destination's accumulator through that destination's
+ * table pair (ISA-L's gf_4vect_dot_prod scheme). Returns the number
+ * of bytes done.
+ */
+template <std::size_t N>
+std::size_t
+foldGroup(uint8_t *const *dsts, const uint8_t *const *srcs,
+          const VecTables *tabs, std::size_t cnt, std::size_t n)
 {
-    // True fusion: one dst load/store per 32-byte strip while every
-    // source folds into the register accumulator (tables stay hot in
-    // L1), instead of nsrc full read-modify-write passes over dst.
-    constexpr std::size_t kMaxFused = 32;
-    for (std::size_t base = 0; base < nsrc; base += kMaxFused) {
-        const std::size_t cnt = std::min(kMaxFused, nsrc - base);
-        VecTables tabs[kMaxFused];
-        for (std::size_t j = 0; j < cnt; ++j)
-            tabs[j] = loadTables(coeffs[base + j]);
-        const __m256i mask = _mm256_set1_epi8(0x0F);
-        std::size_t i = 0;
-        for (; i + 32 <= n; i += 32) {
-            __m256i acc = loadu(dst + i);
-            for (std::size_t j = 0; j < cnt; ++j)
-                acc = _mm256_xor_si256(
-                    acc,
-                    mulVec(loadu(srcs[base + j] + i), tabs[j], mask));
-            storeu(dst + i, acc);
+    const __m256i mask = _mm256_set1_epi8(0x0F);
+    std::size_t i = 0;
+    for (; i + 32 <= n; i += 32) {
+        __m256i acc[N];
+        for (std::size_t o = 0; o < N; ++o)
+            acc[o] = loadu(dsts[o] + i);
+        for (std::size_t j = 0; j < cnt; ++j) {
+            const __m256i v = loadu(srcs[j] + i);
+            const __m256i lo = _mm256_and_si256(v, mask);
+            const __m256i hi =
+                _mm256_and_si256(_mm256_srli_epi64(v, 4), mask);
+            for (std::size_t o = 0; o < N; ++o) {
+                const VecTables &t = tabs[j * N + o];
+                acc[o] = _mm256_xor_si256(
+                    acc[o],
+                    _mm256_xor_si256(_mm256_shuffle_epi8(t.lo, lo),
+                                     _mm256_shuffle_epi8(t.hi, hi)));
+            }
         }
-        for (std::size_t j = 0; i < n && j < cnt; ++j)
-            scalarKernels().mulAdd(dst + i, srcs[base + j] + i, n - i,
-                                   coeffs[base + j]);
+        for (std::size_t o = 0; o < N; ++o)
+            storeu(dsts[o] + i, acc[o]);
+    }
+    return i;
+}
+
+void
+avx2MulAddMulti(uint8_t *const *dsts, std::size_t ndst,
+                const uint8_t *const *srcs, const uint8_t *coeffs,
+                std::size_t nsrc, std::size_t n)
+{
+    // Destinations in groups of four (4 accumulators + nibble
+    // operands fit the 16 ymm registers), sources in folds of at most
+    // kMaxFused, so a group's tables stay in L1.
+    constexpr std::size_t kGroup = 4;
+    constexpr std::size_t kMaxFused = 32;
+    for (std::size_t g = 0; g < ndst; g += kGroup) {
+        const std::size_t nout = std::min(kGroup, ndst - g);
+        for (std::size_t base = 0; base < nsrc; base += kMaxFused) {
+            const std::size_t cnt = std::min(kMaxFused, nsrc - base);
+            VecTables tabs[kMaxFused * kGroup];
+            for (std::size_t j = 0; j < cnt; ++j)
+                for (std::size_t o = 0; o < nout; ++o)
+                    tabs[j * nout + o] =
+                        loadTables(coeffs[(g + o) * nsrc + base + j]);
+            std::size_t done = 0;
+            switch (nout) {
+            case 1:
+                done = foldGroup<1>(dsts + g, srcs + base, tabs, cnt, n);
+                break;
+            case 2:
+                done = foldGroup<2>(dsts + g, srcs + base, tabs, cnt, n);
+                break;
+            case 3:
+                done = foldGroup<3>(dsts + g, srcs + base, tabs, cnt, n);
+                break;
+            default:
+                done = foldGroup<4>(dsts + g, srcs + base, tabs, cnt, n);
+                break;
+            }
+            for (std::size_t o = 0; done < n && o < nout; ++o) {
+                for (std::size_t j = 0; j < cnt; ++j) {
+                    const uint8_t c = coeffs[(g + o) * nsrc + base + j];
+                    if (c != 0)
+                        scalarKernels().mulAdd(dsts[g + o] + done,
+                                               srcs[base + j] + done,
+                                               n - done, c);
+                }
+            }
+        }
     }
 }
 

@@ -17,10 +17,10 @@ namespace detail {
 NibbleTables
 makeNibbleTables(uint8_t c)
 {
-    NibbleTables t;
+    NibbleTables t{};
+    if (c == 0)
+        return t;
     const unsigned lc = kTables.log[c];
-    t.lo[0] = 0;
-    t.hi[0] = 0;
     for (unsigned x = 1; x < 16; ++x) {
         t.lo[x] = kTables.exp[lc + kTables.log[x]];
         t.hi[x] = kTables.exp[lc + kTables.log[x << 4]];
@@ -29,17 +29,24 @@ makeNibbleTables(uint8_t c)
 }
 
 void
-blockedMulAddMulti(const Kernels &k, uint8_t *dst,
-                   const uint8_t *const *srcs, const uint8_t *coeffs,
-                   std::size_t nsrc, std::size_t n)
+blockedMulAddMulti(const Kernels &k, uint8_t *const *dsts,
+                   std::size_t ndst, const uint8_t *const *srcs,
+                   const uint8_t *coeffs, std::size_t nsrc,
+                   std::size_t n)
 {
-    // Apply every source to one destination block before advancing,
-    // so dst is touched once per block, not once per source pass.
+    // Apply every source to every destination block before advancing,
+    // so each source and destination block is fetched from memory
+    // once and re-read from cache.
     constexpr std::size_t kBlock = 8192;
     for (std::size_t off = 0; off < n; off += kBlock) {
         const std::size_t len = std::min(kBlock, n - off);
-        for (std::size_t j = 0; j < nsrc; ++j)
-            k.mulAdd(dst + off, srcs[j] + off, len, coeffs[j]);
+        for (std::size_t o = 0; o < ndst; ++o) {
+            for (std::size_t j = 0; j < nsrc; ++j) {
+                const uint8_t c = coeffs[o * nsrc + j];
+                if (c != 0)
+                    k.mulAdd(dsts[o] + off, srcs[j] + off, len, c);
+            }
+        }
     }
 }
 
@@ -78,11 +85,12 @@ scalarAdd(uint8_t *dst, const uint8_t *src, std::size_t n)
 }
 
 void
-scalarMulAddMulti(uint8_t *dst, const uint8_t *const *srcs,
-                  const uint8_t *coeffs, std::size_t nsrc,
-                  std::size_t n)
+scalarMulAddMulti(uint8_t *const *dsts, std::size_t ndst,
+                  const uint8_t *const *srcs, const uint8_t *coeffs,
+                  std::size_t nsrc, std::size_t n)
 {
-    blockedMulAddMulti(scalarKernels(), dst, srcs, coeffs, nsrc, n);
+    blockedMulAddMulti(scalarKernels(), dsts, ndst, srcs, coeffs, nsrc,
+                       n);
 }
 
 } // namespace

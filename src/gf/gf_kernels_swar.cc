@@ -117,10 +117,12 @@ swarAdd(uint8_t *dst, const uint8_t *src, std::size_t n)
 }
 
 void
-swarMulAddMulti(uint8_t *dst, const uint8_t *const *srcs,
-                const uint8_t *coeffs, std::size_t nsrc, std::size_t n)
+swarMulAddMulti(uint8_t *const *dsts, std::size_t ndst,
+                const uint8_t *const *srcs, const uint8_t *coeffs,
+                std::size_t nsrc, std::size_t n)
 {
-    blockedMulAddMulti(swarKernels(), dst, srcs, coeffs, nsrc, n);
+    blockedMulAddMulti(swarKernels(), dsts, ndst, srcs, coeffs, nsrc,
+                       n);
 }
 
 } // namespace

@@ -152,6 +152,122 @@ buildChainPlan(StripeId stripe, ChunkIndex failed, NodeId destination,
     return plan;
 }
 
+namespace {
+
+/**
+ * In-place plan evaluation. A relay's upload is built in the buffer
+ * of its first relay child's upload; a childless source's upload,
+ * coeff * chunk, is folded straight from its chunk, as the lowered
+ * DAG's direct leaf edges are (dag/dag.hh). Buffers of the other
+ * relay children return to `spare_` once folded, so only the partials
+ * alive at once are held.
+ */
+class PlanEvaluator
+{
+  public:
+    PlanEvaluator(const ChunkRepairPlan &plan,
+                  const std::vector<ec::Buffer> &stripe_data,
+                  std::size_t size)
+        : plan_(plan), data_(stripe_data), size_(size),
+          children_(plan.sources.size() + 1)
+    {
+        // children_.back() lists the destination's children.
+        for (std::size_t i = 0; i < plan.sources.size(); ++i) {
+            const int p = plan.sources[i].parent;
+            children_[p == kToDestination ? plan.sources.size()
+                                          : static_cast<std::size_t>(p)]
+                .push_back(static_cast<int>(i));
+        }
+    }
+
+    /** The reconstructed chunk: the destination's fold. */
+    ec::Buffer result()
+    {
+        return gather(children_.back(), nullptr, gf::kZero);
+    }
+
+  private:
+    const gf::Elem *chunkOf(int i) const
+    {
+        return data_[static_cast<std::size_t>(
+                         plan_.sources[static_cast<std::size_t>(i)].chunk)]
+            .data();
+    }
+
+    /**
+     * coeff * own (when own is set) plus the upload of every source
+     * in kids — exactly what a relay computes (Equation (1)) — with
+     * one fused call into the first relay child's upload. Without a
+     * relay child, a spare buffer takes the first term by mulRegion.
+     */
+    ec::Buffer gather(const std::vector<int> &kids, const gf::Elem *own,
+                      gf::Elem coeff)
+    {
+        std::vector<const gf::Elem *> srcs;
+        std::vector<gf::Elem> coeffs;
+        if (own) {
+            srcs.push_back(own);
+            coeffs.push_back(coeff);
+        }
+        ec::Buffer acc;
+        bool have_acc = false;
+        std::vector<ec::Buffer> rest;
+        rest.reserve(kids.size());
+        for (int k : kids) {
+            const auto &grandkids = children_[static_cast<std::size_t>(k)];
+            if (grandkids.empty()) {
+                srcs.push_back(chunkOf(k));
+                coeffs.push_back(
+                    plan_.sources[static_cast<std::size_t>(k)].coeff);
+                continue;
+            }
+            ec::Buffer up = gather(
+                grandkids, chunkOf(k),
+                plan_.sources[static_cast<std::size_t>(k)].coeff);
+            if (!have_acc) {
+                acc = std::move(up);
+                have_acc = true;
+                continue;
+            }
+            rest.push_back(std::move(up));
+            srcs.push_back(rest.back().data());
+            coeffs.push_back(gf::kOne);
+        }
+        std::size_t first = 0;
+        if (!have_acc) {
+            acc = take();
+            gf::mulRegion(std::span<uint8_t>(acc),
+                          std::span<const uint8_t>(srcs[0], size_),
+                          coeffs[0]);
+            first = 1;
+        }
+        gf::mulAddRegionMulti(
+            std::span<uint8_t>(acc),
+            std::span<const gf::Elem *const>(srcs).subspan(first),
+            std::span<const gf::Elem>(coeffs).subspan(first));
+        for (auto &b : rest)
+            spare_.push_back(std::move(b));
+        return acc;
+    }
+
+    ec::Buffer take()
+    {
+        if (spare_.empty())
+            return ec::Buffer(size_);
+        ec::Buffer b = std::move(spare_.back());
+        spare_.pop_back();
+        return b;
+    }
+
+    const ChunkRepairPlan &plan_;
+    const std::vector<ec::Buffer> &data_;
+    const std::size_t size_;
+    std::vector<std::vector<int>> children_;
+    std::vector<ec::Buffer> spare_;
+};
+
+} // namespace
+
 ec::Buffer
 evaluatePlan(const ChunkRepairPlan &plan,
              const std::vector<ec::Buffer> &stripe_data)
@@ -159,66 +275,20 @@ evaluatePlan(const ChunkRepairPlan &plan,
     CHAMELEON_ASSERT(plan.combinable,
                      "evaluatePlan handles combinable plans only");
     plan.validate();
-    const std::size_t size =
-        stripe_data[static_cast<std::size_t>(
-            plan.sources[0].chunk)].size();
-
-    // contribution(i) = coeff_i * chunk_i + sum contributions of
-    // children — exactly what a relay computes before uploading.
-    std::vector<ec::Buffer> contribution(plan.sources.size());
-    // Process sources in topological order (leaves first): repeat
-    // passes until all are computed (k is small).
-    std::vector<bool> ready(plan.sources.size(), false);
-    std::size_t computed = 0;
-    while (computed < plan.sources.size()) {
-        bool progress = false;
-        for (std::size_t i = 0; i < plan.sources.size(); ++i) {
-            if (ready[i])
-                continue;
-            auto children = plan.childrenOf(static_cast<int>(i));
-            bool deps_ready = std::all_of(
-                children.begin(), children.end(),
-                [&](int c) { return ready[static_cast<std::size_t>(c)]; });
-            if (!deps_ready)
-                continue;
-            // A relay's whole combination — its own coefficient-scaled
-            // chunk plus every child's partial decode — is one fused
-            // kernel call (the right-hand side of Equation (1)).
-            ec::Buffer buf(size, 0);
-            const auto &src = plan.sources[i];
-            std::vector<const gf::Elem *> srcs;
-            std::vector<gf::Elem> coeffs;
-            srcs.reserve(children.size() + 1);
-            coeffs.reserve(children.size() + 1);
-            srcs.push_back(
-                stripe_data[static_cast<std::size_t>(src.chunk)]
-                    .data());
-            coeffs.push_back(src.coeff);
-            for (int c : children) {
-                srcs.push_back(
-                    contribution[static_cast<std::size_t>(c)].data());
-                coeffs.push_back(gf::kOne);
-            }
-            gf::mulAddRegionMulti(std::span<uint8_t>(buf), srcs,
-                                  coeffs);
-            contribution[i] = std::move(buf);
-            ready[i] = true;
-            ++computed;
-            progress = true;
-        }
-        CHAMELEON_ASSERT(progress, "plan evaluation stuck (cycle?)");
+    std::size_t size = 0;
+    for (std::size_t i = 0; i < plan.sources.size(); ++i) {
+        const ChunkIndex c = plan.sources[i].chunk;
+        CHAMELEON_ASSERT(c >= 0 && static_cast<std::size_t>(c) <
+                                       stripe_data.size(),
+                         "source chunk ", c, " out of range");
+        const std::size_t n =
+            stripe_data[static_cast<std::size_t>(c)].size();
+        if (i == 0)
+            size = n;
+        CHAMELEON_ASSERT(n == size, "chunk sizes differ: chunk ", c,
+                         " has ", n, " bytes, expected ", size);
     }
-
-    // The destination's own fold is likewise a single fused pass.
-    ec::Buffer result(size, 0);
-    std::vector<const gf::Elem *> root_srcs;
-    for (int i : plan.childrenOf(kToDestination))
-        root_srcs.push_back(
-            contribution[static_cast<std::size_t>(i)].data());
-    std::vector<gf::Elem> root_coeffs(root_srcs.size(), gf::kOne);
-    gf::mulAddRegionMulti(std::span<uint8_t>(result), root_srcs,
-                          root_coeffs);
-    return result;
+    return PlanEvaluator(plan, stripe_data, size).result();
 }
 
 } // namespace repair

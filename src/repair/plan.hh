@@ -102,11 +102,16 @@ buildChainPlan(StripeId stripe, ChunkIndex failed, NodeId destination,
 
 /**
  * Byte-exact reference evaluation of a plan used by tests: walks the
- * tree combining real chunk data exactly as relay nodes would.
+ * tree combining real chunk data exactly as relay nodes would. The
+ * walk is post-order and in place: a leaf writes coeff * chunk into
+ * a reused buffer, a relay folds its own scaled chunk and its other
+ * children's uploads into its first child's buffer in one fused
+ * call, and the destination folds into its first child's upload.
  *
  * @param plan         a combinable plan.
  * @param stripe_data  all n chunks of the stripe (failed one included
- *                     for comparison by the caller).
+ *                     for comparison by the caller); every chunk a
+ *                     source reads must have the same size.
  * @return the reconstructed chunk.
  */
 ec::Buffer

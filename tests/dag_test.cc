@@ -113,6 +113,21 @@ TEST(DagStructure, ValidateRejectsCycle)
     EXPECT_DEATH(d.validate(), "cycle");
 }
 
+TEST(DagStructure, ValidateRejectsSharedPartial)
+{
+    // A partial feeding two vertices would reach the root twice.
+    dag::EcDag d;
+    auto leaf = d.addLeaf({3, 1});
+    auto shared = d.addVertex(3);
+    auto relay = d.addVertex(4);
+    auto root = d.addVertex(7);
+    d.Join(shared, {leaf}, {gf::kOne});
+    d.Join(relay, {shared}, {gf::kOne});
+    d.Join(root, {shared, relay}, {gf::kOne, gf::kOne});
+    d.setRoot(root);
+    EXPECT_DEATH(d.validate(), "feeds more than one vertex");
+}
+
 TEST(DagStructure, BindXCoLocates)
 {
     dag::EcDag d;
@@ -215,6 +230,91 @@ TEST(DagEquivalence, LoweredTreeMatchesEvaluatePlanLrc)
     EXPECT_EQ(dag::evaluateDag(lowered, chunks),
               repair::evaluatePlan(plan, chunks));
     EXPECT_EQ(dag::evaluateDag(lowered, chunks), chunks[3]);
+}
+
+/**
+ * Hand-built DAGs beyond lowered trees: internal in-edges whose
+ * coefficients are not 1 (a vertex then starts from a spare buffer
+ * holding its first term), and an internal input with coefficient 1
+ * behind a leaf and a scaled internal input (the vertex takes over
+ * that input's buffer). Both equal repairCompute and the original.
+ */
+TEST(DagEquivalence, NonUnitInternalCoefficients)
+{
+    auto code = ec::makeRs(6, 3);
+    Rng rng(31);
+    auto chunks = randomStripe(rng, *code, 1031);
+    std::vector<ChunkIndex> avail = {0, 1, 3, 4, 5, 6, 7, 8};
+    auto spec = code->makeRepairSpec(2, avail, rng);
+    ASSERT_EQ(spec.reads.size(), 6u);
+    std::vector<ec::Buffer> helper_data;
+    for (const auto &read : spec.reads)
+        helper_data.push_back(
+            chunks[static_cast<std::size_t>(read.helper)]);
+    const ec::Buffer direct = code->repairCompute(spec, helper_data);
+    ASSERT_EQ(direct, chunks[2]);
+
+    auto c = [&](std::size_t i) { return spec.reads[i].coeff; };
+    auto scaled = [&](std::size_t i, gf::Elem by) {
+        return gf::div(c(i), by);
+    };
+    const gf::Elem x = 0x53, y = 0x8E, z = 0x07;
+    auto leaves = [&](dag::EcDag &d) {
+        std::vector<dag::VertexId> out;
+        for (std::size_t i = 0; i < spec.reads.size(); ++i) {
+            dag::DagSource src;
+            src.node = static_cast<NodeId>(i + 1);
+            src.chunk = spec.reads[i].helper;
+            src.coeff = c(i);
+            out.push_back(d.addLeaf(src));
+        }
+        return out;
+    };
+
+    // root = y*B + z*C, B = (x/y)*A + (c3/y)*L3, A = sum (ci/x)*Li,
+    // C = (c4/z)*L4 + (c5/z)*L5: every internal edge is scaled.
+    dag::EcDag scaled_dag;
+    {
+        auto &d = scaled_dag;
+        auto l = leaves(d);
+        auto a = d.addVertex(1), b = d.addVertex(4), cv = d.addVertex(5);
+        auto root = d.addVertex(100);
+        d.Join(a, {l[0], l[1], l[2]},
+               {scaled(0, x), scaled(1, x), scaled(2, x)});
+        d.Join(b, {a, l[3]}, {gf::div(x, y), scaled(3, y)});
+        d.Join(cv, {l[4], l[5]}, {scaled(4, z), scaled(5, z)});
+        d.Join(root, {b, cv}, {y, z});
+        d.setRoot(root);
+    }
+    // root = c5*L5 + y*C + 1*A: takes over A's buffer (third edge).
+    dag::EcDag takeover_dag;
+    {
+        auto &d = takeover_dag;
+        auto l = leaves(d);
+        auto a = d.addVertex(1), cv = d.addVertex(4);
+        auto root = d.addVertex(100);
+        d.Join(a, {l[0], l[1], l[2]}, {c(0), c(1), c(2)});
+        d.Join(cv, {l[3], l[4]}, {scaled(3, y), scaled(4, y)});
+        d.Join(root, {l[5], cv, a}, {c(5), y, gf::kOne});
+        d.setRoot(root);
+    }
+    for (const auto *d : {&scaled_dag, &takeover_dag}) {
+        d->validate();
+        EXPECT_EQ(dag::evaluateDag(*d, chunks), direct);
+    }
+}
+
+TEST(DagEquivalence, EvaluateRejectsMixedChunkSizes)
+{
+    auto code = ec::makeRs(4, 2);
+    Rng rng(32);
+    auto chunks = randomStripe(rng, *code, 64);
+    std::vector<dag::DagSource> sources;
+    for (ChunkIndex h = 1; h <= 4; ++h)
+        sources.push_back({static_cast<NodeId>(h), h});
+    auto d = dag::buildChainDag(0, 0, 9, sources);
+    chunks[3].resize(32);
+    EXPECT_DEATH(dag::evaluateDag(d, chunks), "chunk sizes differ");
 }
 
 TEST(DagEquivalence, ChameleonDispatcherTreeLowersExactly)

@@ -7,6 +7,8 @@
  */
 
 #include <algorithm>
+#include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <numeric>
@@ -20,6 +22,7 @@
 #include "ec/lrc_code.hh"
 #include "ec/replicated_code.hh"
 #include "ec/rs_code.hh"
+#include "gf/gf_kernels.hh"
 #include "util/rng.hh"
 
 namespace chameleon {
@@ -227,6 +230,61 @@ TEST(RsCode, PartialCombinationAssociativity)
     gf::addRegion(std::span<uint8_t>(combined),
                   std::span<const uint8_t>(partial2));
     EXPECT_EQ(combined, chunks[2]);
+}
+
+TEST(RsCode, DecodeRejectsMixedChunkSizes)
+{
+    // A short survivor would otherwise be read past its end by the
+    // fused kernel, at the size of whichever survivor came last.
+    RsCode code(4, 2);
+    Rng rng(14);
+    auto chunks = randomStripe(rng, code, 64);
+    chunks[0].clear();
+    chunks[2].resize(32);
+    EXPECT_DEATH(code.decode(chunks), "chunk sizes differ");
+}
+
+/**
+ * k > 64 through the codec API: encoding rs(72,8) crosses the public
+ * entry's 64-source batch and the SIMD kernels' 32-source fold, and
+ * decoding 8 erasures fills 8 outputs (two groups of four). Parity is
+ * checked against a byte-at-a-time reference. tests/CMakeLists.txt
+ * also runs this once per ISA, pinned with CHAMELEON_GF_KERNEL.
+ */
+TEST(RsCode, WideRoundTripCrossesKernelBatches)
+{
+    if (const char *want = std::getenv("CHAMELEON_GF_KERNEL")) {
+        for (auto isa : gf::detail::availableIsas()) {
+            if (std::strcmp(gf::detail::isaName(isa), want) == 0) {
+                EXPECT_STREQ(gf::kernelName(), want);
+            }
+        }
+    }
+    RsCode code(72, 8);
+    const gf::Matrix &gen = code.generator();
+    Rng rng(72);
+    for (const std::size_t size :
+         {std::size_t{1}, std::size_t{33}, std::size_t{100},
+          std::size_t{4097}}) {
+        auto chunks = randomStripe(rng, code, size);
+        for (int p = 0; p < code.m(); ++p) {
+            Buffer want(size, 0);
+            for (int j = 0; j < code.k(); ++j)
+                for (std::size_t i = 0; i < size; ++i)
+                    want[i] ^= gf::mul(
+                        gen.at(static_cast<std::size_t>(code.k() + p),
+                               static_cast<std::size_t>(j)),
+                        chunks[static_cast<std::size_t>(j)][i]);
+            ASSERT_EQ(chunks[static_cast<std::size_t>(code.k() + p)],
+                      want)
+                << "parity " << p << " size " << size;
+        }
+        auto damaged = chunks;
+        for (ChunkIndex e : {0, 9, 31, 63, 64, 71, 72, 79})
+            damaged[static_cast<std::size_t>(e)].clear();
+        ASSERT_TRUE(code.decode(damaged));
+        EXPECT_EQ(damaged, chunks) << "size " << size;
+    }
 }
 
 // --------------------------------------------------------------- LRC
@@ -438,6 +496,31 @@ TEST(Butterfly, RepairBeatsRsTraffic)
     for (auto &read : r_spec.reads)
         r_traffic += read.fraction;
     EXPECT_LT(b_traffic, r_traffic);
+}
+
+TEST(Butterfly, DecodeRejectsMixedChunkSizes)
+{
+    ButterflyCode code;
+    Rng rng(24);
+    auto chunks = randomStripe(rng, code, 64);
+    chunks[0].clear();
+    chunks[1].resize(32);
+    EXPECT_DEATH(code.decode(chunks), "chunk sizes differ");
+}
+
+TEST(Butterfly, RepairRejectsMixedChunkSizes)
+{
+    ButterflyCode code;
+    Rng rng(25);
+    auto chunks = randomStripe(rng, code, 64);
+    auto spec = code.makeRepairSpec(0, survivorsExcept(code, {0}), rng);
+    std::vector<Buffer> helper_data;
+    for (const auto &read : spec.reads)
+        helper_data.push_back(
+            chunks[static_cast<std::size_t>(read.helper)]);
+    helper_data.back().resize(32);
+    EXPECT_DEATH(code.repairCompute(spec, helper_data),
+                 "chunk sizes differ");
 }
 
 TEST(Butterfly, EncodeRejectsOddChunkSize)

@@ -146,8 +146,8 @@ TEST_P(GfKernelParity, MulAddMultiMatchesSequentialMulAdds)
         const std::size_t doff = rng.below(kMaxAlign + 1);
         for (std::size_t j = 0; j < nsrc; ++j)
             ref.mulAdd(expect.data() + doff, ptrs[j], n, coeffs[j]);
-        k.mulAddMulti(dst.data() + doff, ptrs.data(), coeffs.data(),
-                      nsrc, n);
+        uint8_t *const d = dst.data() + doff;
+        k.mulAddMulti(&d, 1, ptrs.data(), coeffs.data(), nsrc, n);
         ASSERT_EQ(dst, expect)
             << "kernel " << k.name << " trial " << trial << " n=" << n
             << " nsrc=" << nsrc;
@@ -183,8 +183,8 @@ TEST_P(GfKernelParity, WideMatrixRowK24Parity)
         auto expect = dst;
         for (std::size_t j = 0; j < kWideK; ++j)
             ref.mulAdd(expect.data() + doff, ptrs[j], n, coeffs[j]);
-        k.mulAddMulti(dst.data() + doff, ptrs.data(), coeffs.data(),
-                      kWideK, n);
+        uint8_t *const d = dst.data() + doff;
+        k.mulAddMulti(&d, 1, ptrs.data(), coeffs.data(), kWideK, n);
         ASSERT_EQ(dst, expect)
             << "kernel " << k.name << " n=" << n << " doff=" << doff;
     }
@@ -200,8 +200,98 @@ TEST_P(GfKernelParity, ZeroLengthIsNoop)
     k.mul(dst.data(), src.data(), 0, 0x35);
     const uint8_t *ptrs[1] = {src.data()};
     const uint8_t coeffs[1] = {0x35};
-    k.mulAddMulti(dst.data(), ptrs, coeffs, 1, 0);
+    uint8_t *const d = dst.data();
+    k.mulAddMulti(&d, 1, ptrs, coeffs, 1, 0);
+    // Several outputs, zeros inside the matrix, and the public entry.
+    std::vector<uint8_t> dst2 = {7, 8, 9};
+    uint8_t *const dsts[2] = {dst.data(), dst2.data()};
+    const uint8_t matrix[2] = {0x35, 0};
+    k.mulAddMulti(dsts, 2, ptrs, matrix, 1, 0);
+    mulAddRegionMatrix(dsts, 0, ptrs, matrix);
     EXPECT_EQ(dst, before);
+    EXPECT_EQ(dst2, (std::vector<uint8_t>{7, 8, 9}));
+}
+
+/**
+ * A random ndst x nsrc coefficient matrix for the multi-output
+ * kernel: about a quarter of the entries are zero, and one row and
+ * one column are often all zero.
+ */
+std::vector<uint8_t>
+randomMatrix(Rng &rng, std::size_t ndst, std::size_t nsrc)
+{
+    std::vector<uint8_t> m(ndst * nsrc);
+    for (auto &c : m)
+        c = rng.below(4) == 0 ? 0
+                              : static_cast<uint8_t>(1 + rng.below(255));
+    if (rng.below(3) == 0) {
+        const std::size_t o = rng.below(ndst);
+        for (std::size_t j = 0; j < nsrc; ++j)
+            m[o * nsrc + j] = 0;
+    }
+    if (rng.below(3) == 0) {
+        const std::size_t j = rng.below(nsrc);
+        for (std::size_t o = 0; o < ndst; ++o)
+            m[o * nsrc + j] = 0;
+    }
+    return m;
+}
+
+/** Random outputs at random misalignments, plus the expected bytes
+ * from one scalar mulAdd pass per nonzero coefficient. */
+struct MatrixCase
+{
+    std::vector<std::vector<uint8_t>> srcs, dsts, expect;
+    std::vector<const uint8_t *> src_ptrs;
+    std::vector<uint8_t *> dst_ptrs;
+    std::vector<uint8_t> coeffs;
+    std::size_t n = 0;
+
+    MatrixCase(Rng &rng, std::size_t ndst, std::size_t nsrc,
+               std::size_t size)
+        : coeffs(randomMatrix(rng, ndst, nsrc)), n(size)
+    {
+        const Kernels &ref = detail::scalarKernels();
+        for (std::size_t j = 0; j < nsrc; ++j) {
+            srcs.push_back(randomBytes(rng, kArena));
+            src_ptrs.push_back(srcs.back().data() +
+                               rng.below(kMaxAlign + 1));
+        }
+        for (std::size_t o = 0; o < ndst; ++o) {
+            dsts.push_back(randomBytes(rng, kArena));
+            expect.push_back(dsts.back());
+            const std::size_t off = rng.below(kMaxAlign + 1);
+            dst_ptrs.push_back(dsts.back().data() + off);
+            for (std::size_t j = 0; j < nsrc; ++j) {
+                const uint8_t c = coeffs[o * nsrc + j];
+                if (c != 0)
+                    ref.mulAdd(expect.back().data() + off, src_ptrs[j],
+                               n, c);
+            }
+        }
+    }
+};
+
+/** The multi-output kernel against per-output scalar passes: 1-8
+ * outputs (two groups of four on SIMD), 1-70 sources (past the
+ * kernels' 32-source fold), every size and misalignment class, and
+ * matrices with scattered zeros, zero rows and zero columns. */
+TEST_P(GfKernelParity, MulAddMultiMatchesPerOutputMulAdds)
+{
+    const Kernels &k = detail::kernels(GetParam());
+    Rng rng(0x5EED5);
+    for (int trial = 0; trial < 150; ++trial) {
+        const std::size_t ndst = 1 + rng.below(8);
+        const std::size_t nsrc = 1 + rng.below(70);
+        MatrixCase mc(rng, ndst, nsrc, rng.below(kMaxSize + 1));
+        k.mulAddMulti(mc.dst_ptrs.data(), ndst, mc.src_ptrs.data(),
+                      mc.coeffs.data(), nsrc, mc.n);
+        for (std::size_t o = 0; o < ndst; ++o)
+            ASSERT_EQ(mc.dsts[o], mc.expect[o])
+                << "kernel " << k.name << " trial " << trial
+                << " output " << o << " of " << ndst << " nsrc=" << nsrc
+                << " n=" << mc.n;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -243,6 +333,37 @@ TEST(GfDispatch, MultiSkipsZeroCoefficients)
     const uint8_t coeffs[3] = {0, 0x42, 0};
     mulAddRegionMulti(dst, ptrs, coeffs);
     EXPECT_EQ(dst, expect);
+
+    // Matrix entry: an all-zero column is never read (a null source
+    // would trip the null-region check), while a zero inside a live
+    // column is applied as a no-op.
+    std::vector<uint8_t> dst2 = randomBytes(rng, n);
+    auto expect2 = dst2;
+    mulAddRegion(expect2, a, 0x17);
+    mulAddRegion(expect, b, 0x03);
+    const uint8_t *mptrs[3] = {a.data(), nullptr, b.data()};
+    const uint8_t matrix[6] = {0, 0, 0x03, 0x17, 0, 0};
+    uint8_t *const dsts[2] = {dst.data(), dst2.data()};
+    mulAddRegionMatrix(dsts, n, mptrs, matrix);
+    EXPECT_EQ(dst, expect);
+    EXPECT_EQ(dst2, expect2);
+}
+
+/** The public matrix entry on the active kernel: 1-10 outputs (past
+ * its 8-row split) and 1-70 sources (past its 64-source batch). */
+TEST(GfDispatch, MatrixMatchesPerOutputScalar)
+{
+    Rng rng(0xD17);
+    for (int trial = 0; trial < 100; ++trial) {
+        const std::size_t ndst = 1 + rng.below(10);
+        const std::size_t nsrc = 1 + rng.below(70);
+        MatrixCase mc(rng, ndst, nsrc, rng.below(kMaxSize + 1));
+        mulAddRegionMatrix(mc.dst_ptrs, mc.n, mc.src_ptrs, mc.coeffs);
+        for (std::size_t o = 0; o < ndst; ++o)
+            ASSERT_EQ(mc.dsts[o], mc.expect[o])
+                << "trial " << trial << " output " << o << " of "
+                << ndst << " nsrc=" << nsrc << " n=" << mc.n;
+    }
 }
 
 TEST(GfDispatch, ActiveKernelIsListedAsAvailable)

@@ -176,6 +176,102 @@ TEST(PlanEvaluation, LrcLocalRepairThroughTree)
     EXPECT_EQ(evaluatePlan(plan, chunks), chunks[3]);
 }
 
+/** Plan evaluation, repairCompute and the original chunk agree. */
+void
+expectPlanRepairs(const ec::ErasureCode &code,
+                  const std::vector<ec::Buffer> &chunks,
+                  const ec::RepairSpec &spec, const ChunkRepairPlan &plan)
+{
+    std::vector<ec::Buffer> helper_data;
+    for (const auto &read : spec.reads)
+        helper_data.push_back(
+            chunks[static_cast<std::size_t>(read.helper)]);
+    const ec::Buffer direct = code.repairCompute(spec, helper_data);
+    EXPECT_EQ(direct, chunks[static_cast<std::size_t>(spec.failed)]);
+    EXPECT_EQ(evaluatePlan(plan, chunks), direct);
+}
+
+std::vector<ec::Buffer>
+randomStripe(Rng &rng, const ec::ErasureCode &code, std::size_t size)
+{
+    std::vector<ec::Buffer> chunks;
+    for (int i = 0; i < code.k(); ++i) {
+        ec::Buffer b(size);
+        for (auto &v : b)
+            v = static_cast<uint8_t>(rng.below(256));
+        chunks.push_back(std::move(b));
+    }
+    for (auto &p : code.encode(chunks))
+        chunks.push_back(std::move(p));
+    return chunks;
+}
+
+/** Relays with three or more children, mixing leaf and relay
+ * children, and a destination with several relay children: the
+ * in-place walk folds every other child into the first relay child's
+ * buffer, seeds a spare buffer for relays with only leaf children,
+ * and reuses the folded children's buffers. */
+TEST(PlanEvaluation, RelaysWithThreeOrMoreChildren)
+{
+    auto code = ec::makeRs(6, 3);
+    cluster::StripeManager stripes(code, 12);
+    Rng rng(11);
+    stripes.createStripes(1, rng);
+    auto chunks = randomStripe(rng, *code, 257);
+    auto avail = stripes.availableChunks(0);
+    avail.erase(std::remove(avail.begin(), avail.end(), 4), avail.end());
+    auto spec = code->makeRepairSpec(4, avail, rng);
+    ASSERT_EQ(spec.reads.size(), 6u);
+    const auto dest = stripes.candidateDestinations(0).front();
+    for (const std::vector<int> &parents :
+         {std::vector<int>{3, 3, 3, 5, 5, -1},  // relay 3: three leaves
+          std::vector<int>{1, 5, 3, 5, 5, -1},  // relay 5: two relays + leaf
+          std::vector<int>{5, 5, 5, 5, 5, -1},  // relay 5: five leaves
+          std::vector<int>{1, -1, 3, -1, -1, 4}}) { // three top relays
+        auto plan = buildStarPlan(0, 4, dest, sourcesFor(stripes, spec, 0),
+                                  true);
+        for (std::size_t i = 0; i < parents.size(); ++i)
+            plan.sources[i].parent = parents[i];
+        plan.validate();
+        expectPlanRepairs(*code, chunks, spec, plan);
+    }
+}
+
+/** rs(24,8) over a 24-source chain: 24 partials deep, each relay
+ * folding into the one buffer its child passes up. */
+TEST(PlanEvaluation, Rs24ChainTwentyFourDeep)
+{
+    auto code = ec::makeCode("rs(24,8)");
+    cluster::StripeManager stripes(code, 40);
+    Rng rng(12);
+    stripes.createStripes(1, rng);
+    auto chunks = randomStripe(rng, *code, 4097);
+    auto avail = stripes.availableChunks(0);
+    avail.erase(std::remove(avail.begin(), avail.end(), 7), avail.end());
+    auto spec = code->makeRepairSpec(7, avail, rng);
+    ASSERT_EQ(spec.reads.size(), 24u);
+    auto plan = buildChainPlan(0, 7, stripes.candidateDestinations(0).front(),
+                               sourcesFor(stripes, spec, 0));
+    ASSERT_EQ(plan.depth(), 24);
+    expectPlanRepairs(*code, chunks, spec, plan);
+}
+
+TEST(PlanEvaluation, RejectsMixedChunkSizes)
+{
+    auto code = ec::makeRs(4, 2);
+    cluster::StripeManager stripes(code, 8);
+    Rng rng(13);
+    stripes.createStripes(1, rng);
+    auto chunks = randomStripe(rng, *code, 64);
+    auto avail = stripes.availableChunks(0);
+    avail.erase(std::remove(avail.begin(), avail.end(), 0), avail.end());
+    auto spec = code->makeRepairSpec(0, avail, rng);
+    auto plan = buildPprPlan(0, 0, stripes.candidateDestinations(0).front(),
+                             sourcesFor(stripes, spec, 0));
+    chunks[static_cast<std::size_t>(spec.reads.back().helper)].resize(32);
+    EXPECT_DEATH(evaluatePlan(plan, chunks), "chunk sizes differ");
+}
+
 TEST(PlanValidation, RejectsCycle)
 {
     ChunkRepairPlan plan;
