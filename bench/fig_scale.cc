@@ -25,7 +25,7 @@
 #include <vector>
 
 #include "bench_common.hh"
-#include "cluster/stripe_manager.hh"
+#include "cluster/stripe_table.hh"
 #include "runtime/runtime.hh"
 #include "util/format.hh"
 #include "util/rng.hh"
@@ -105,12 +105,12 @@ runCell(const Cell &cell)
     {
         Rng rng(cfg.seed);
         Rng placement = rng.split();
-        cluster::StripeManager stripes(cfg.code, cell.nodes);
+        cluster::StripeTable stripes(cfg.code, cell.nodes);
         stripes.createStripes(cell.stripes, placement);
         r.expectedChunks = static_cast<long long>(
             stripes.chunksOnNode(0).size());
         r.bytesPerStripe =
-            static_cast<double>(stripes.table().memoryBytes()) /
+            static_cast<double>(stripes.memoryBytes()) /
             cell.stripes;
     }
 

@@ -13,11 +13,11 @@
 
 #include <cstdio>
 
-#include "analysis/experiment.hh"
-#include "cluster/stripe_manager.hh"
+#include "cluster/stripe_table.hh"
 #include "ec/factory.hh"
 #include "repair/chameleon_planner.hh"
 #include "repair/strategies.hh"
+#include "runtime/experiment.hh"
 
 using namespace chameleon;
 
@@ -49,7 +49,7 @@ planView()
     std::printf("\nrepair plans for the same failed chunk "
                 "(RS(6,3)):\n");
     auto code = ec::makeRs(6, 3);
-    cluster::StripeManager stripes(code, 12);
+    cluster::StripeTable stripes(code, 12);
     Rng rng(9);
     stripes.createStripes(1, rng);
 
@@ -119,12 +119,12 @@ systemsView()
     std::printf("\nsimulated repair throughput under YCSB-A "
                 "(ChameleonEC):\n");
     for (auto code : {ec::makeRs(10, 4), ec::makeLrc(10, 2, 2)}) {
-        analysis::ExperimentConfig cfg;
+        runtime::ExperimentConfig cfg;
         cfg.code = code;
         cfg.chunksToRepair = 20;
         cfg.exec.sliceSize = 2 * units::MiB;
         cfg.trace = traffic::ycsbA();
-        auto r = runExperiment(analysis::Algorithm::kChameleon, cfg);
+        auto r = runExperiment(runtime::Algorithm::kChameleon, cfg);
         std::printf("  %-14s %7.1f MB/s\n", code->name().c_str(),
                     r.repairThroughput / 1e6);
     }

@@ -12,11 +12,11 @@
 
 #include <cstdio>
 
-#include "analysis/experiment.hh"
+#include "runtime/experiment.hh"
 #include "ec/factory.hh"
 
 using namespace chameleon;
-using namespace chameleon::analysis;
+using namespace chameleon::runtime;
 
 int
 main()

@@ -12,10 +12,10 @@
 
 #include <cstdio>
 
-#include "analysis/experiment.hh"
+#include "runtime/experiment.hh"
 
 using namespace chameleon;
-using namespace chameleon::analysis;
+using namespace chameleon::runtime;
 
 int
 main()

@@ -13,7 +13,7 @@
 #include <cstdio>
 
 #include "cluster/cluster.hh"
-#include "cluster/stripe_manager.hh"
+#include "cluster/stripe_table.hh"
 #include "ec/factory.hh"
 #include "repair/chameleon_scheduler.hh"
 #include "repair/executor.hh"
@@ -59,7 +59,7 @@ main()
     ccfg.downlinkBw = 2.5 * units::Gbps;
     cluster::Cluster cluster(sim, ccfg);
 
-    cluster::StripeManager stripes(code, ccfg.numNodes);
+    cluster::StripeTable stripes(code, ccfg.numNodes);
     stripes.createStripes(12, rng);
 
     repair::RepairExecutor executor(cluster, repair::ExecutorConfig{});
@@ -72,7 +72,7 @@ main()
     repair::ChameleonScheduler scheduler(stripes, executor, monitor,
                                          repair::ChameleonConfig{},
                                          rng.split());
-    scheduler.start(lost);
+    scheduler.enqueue(lost);
     sim.run(600.0);
 
     if (!scheduler.finished()) {

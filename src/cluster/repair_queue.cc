@@ -8,7 +8,7 @@
 namespace chameleon {
 namespace cluster {
 
-RepairQueue::RepairQueue(StripeManager &stripes,
+RepairQueue::RepairQueue(StripeTable &stripes,
                          RepairQueueConfig config)
     : stripes_(stripes), config_(config),
       nodeJobs_(static_cast<std::size_t>(stripes.numNodes()), 0)
@@ -79,7 +79,7 @@ bool
 RepairQueue::stale(const FailedChunk &chunk) const
 {
     if (chunk.chunk == kBalancerChunk)
-        return !stripes_.table().misplaced(chunk.stripe);
+        return !stripes_.misplaced(chunk.stripe);
     return !stripes_.chunkLost(chunk.stripe, chunk.chunk);
 }
 
@@ -116,7 +116,7 @@ RepairQueue::pop()
             // still at its cap, so a full recheck cannot succeed.
             Entry &entry = it->second;
             const uint32_t gen =
-                stripes_.table().generation(fc.stripe);
+                stripes_.generation(fc.stripe);
             if (entry.blockedOn != kInvalidNode &&
                 entry.checkedEpoch == memoEpoch_ &&
                 entry.checkedGen == gen &&

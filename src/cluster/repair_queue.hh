@@ -35,7 +35,7 @@
 #include <utility>
 #include <vector>
 
-#include "cluster/stripe_manager.hh"
+#include "cluster/stripe_table.hh"
 #include "util/types.hh"
 
 namespace chameleon {
@@ -79,7 +79,7 @@ struct AdmittedRepair
 class RepairQueue
 {
   public:
-    RepairQueue(StripeManager &stripes, RepairQueueConfig config);
+    RepairQueue(StripeTable &stripes, RepairQueueConfig config);
 
     /**
      * Enqueues a repair (dedup on (stripe, chunk)). Re-pushing at a
@@ -159,7 +159,7 @@ class RepairQueue
     bool nodesFree(const std::vector<NodeId> &nodes) const;
     bool stale(const FailedChunk &chunk) const;
 
-    StripeManager &stripes_;
+    StripeTable &stripes_;
     RepairQueueConfig config_;
     std::deque<FailedChunk> tiers_[kRepairTiers];
     int depth_[kRepairTiers] = {0, 0, 0};

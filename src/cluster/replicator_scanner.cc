@@ -9,7 +9,7 @@
 namespace chameleon {
 namespace cluster {
 
-ReplicatorScanner::ReplicatorScanner(StripeManager &stripes,
+ReplicatorScanner::ReplicatorScanner(StripeTable &stripes,
                                      RepairQueue &queue,
                                      sim::Simulator &sim,
                                      ScannerConfig config)
@@ -68,10 +68,9 @@ ReplicatorScanner::scanBatch(int limit)
         scannedTotal_ = barrier_;
         return;
     }
-    auto &table = stripes_.table();
     for (int i = 0; i < limit; ++i) {
         if (cursor_ == 0)
-            sweepStartStamp_ = table.wipeStamp();
+            sweepStartStamp_ = stripes_.wipeStamp();
         scanStripe(cursor_);
         ++scannedTotal_;
         if (++cursor_ >= total) {
@@ -80,8 +79,8 @@ ReplicatorScanner::scanBatch(int limit)
             // A full sweep materialized every stripe; if no newer
             // deferred failure raced it, the per-node pending-wipe
             // flags carry no information any more.
-            if (table.wipeStamp() == sweepStartStamp_)
-                table.clearPendingWipes();
+            if (stripes_.wipeStamp() == sweepStartStamp_)
+                stripes_.clearPendingWipes();
         }
     }
     telemetry::metrics()
@@ -92,15 +91,14 @@ ReplicatorScanner::scanBatch(int limit)
 void
 ReplicatorScanner::scanStripe(StripeId stripe)
 {
-    auto &table = stripes_.table();
-    table.materializeWipe(stripe);
-    const uint64_t mask = table.lostMask(stripe);
+    stripes_.materializeWipe(stripe);
+    const uint64_t mask = stripes_.lostMask(stripe);
     const int lost = std::popcount(mask);
     StripeHealth health = StripeHealth::kHealthy;
     RepairTier tier = RepairTier::kDegraded;
     if (lost > 0) {
-        const int survivors = table.code().n() - lost;
-        const int margin = survivors - table.code().k();
+        const int survivors = stripes_.code().n() - lost;
+        const int margin = survivors - stripes_.code().k();
         if (margin < 0)
             health = StripeHealth::kUnrecoverable;
         else if (margin < config_.riskMargin)
@@ -113,10 +111,10 @@ ReplicatorScanner::scanStripe(StripeId stripe)
         tier = health == StripeHealth::kDegraded
                    ? RepairTier::kDegraded
                    : RepairTier::kDataLossRisk;
-    } else if (table.misplaced(stripe)) {
+    } else if (stripes_.misplaced(stripe)) {
         health = StripeHealth::kMisplaced;
     }
-    table.setState(stripe, health);
+    stripes_.setState(stripe, health);
     if (lost > 0) {
         uint64_t bits = mask;
         while (bits) {
@@ -166,7 +164,7 @@ ReplicatorScanner::pumpAdmission()
                 if (onMisplaced_)
                     onMisplaced_(admitted->chunk.stripe);
                 else
-                    stripes_.table().clearMisplaced(
+                    stripes_.clearMisplaced(
                         admitted->chunk.stripe);
                 queue_.complete(admitted->chunk);
                 continue;

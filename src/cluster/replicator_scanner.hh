@@ -32,7 +32,7 @@
 #include <vector>
 
 #include "cluster/repair_queue.hh"
-#include "cluster/stripe_manager.hh"
+#include "cluster/stripe_table.hh"
 #include "sim/simulator.hh"
 #include "util/types.hh"
 
@@ -67,7 +67,7 @@ class ReplicatorScanner
         std::function<void(std::vector<FailedChunk>)>;
     using MisplacedFn = std::function<void(StripeId)>;
 
-    ReplicatorScanner(StripeManager &stripes, RepairQueue &queue,
+    ReplicatorScanner(StripeTable &stripes, RepairQueue &queue,
                       sim::Simulator &sim, ScannerConfig config);
 
     void setDispatch(DispatchFn fn) { dispatch_ = std::move(fn); }
@@ -119,7 +119,7 @@ class ReplicatorScanner
     void scanStripe(StripeId stripe);
     void publishGauges();
 
-    StripeManager &stripes_;
+    StripeTable &stripes_;
     RepairQueue &queue_;
     sim::Simulator &sim_;
     ScannerConfig config_;

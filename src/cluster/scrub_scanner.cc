@@ -10,7 +10,7 @@
 namespace chameleon {
 namespace cluster {
 
-ScrubScanner::ScrubScanner(Cluster &cluster, StripeManager &stripes,
+ScrubScanner::ScrubScanner(Cluster &cluster, StripeTable &stripes,
                            Bytes chunk_bytes, ScrubConfig config)
     : cluster_(cluster), stripes_(stripes),
       chunkBytes_(chunk_bytes), config_(std::move(config))
@@ -166,8 +166,7 @@ ScrubScanner::noteCorruption(FailedChunk chunk)
 bool
 ScrubScanner::detect(FailedChunk chunk, DetectSource source)
 {
-    auto &table = stripes_.table();
-    if (!table.chunkCorrupt(chunk.stripe, chunk.chunk) ||
+    if (!stripes_.chunkCorrupt(chunk.stripe, chunk.chunk) ||
         stripes_.chunkLost(chunk.stripe, chunk.chunk))
         return false;
     ++detected_;
@@ -199,14 +198,14 @@ ScrubScanner::detect(FailedChunk chunk, DetectSource source)
     // Promote silent corruption to a real loss; the repair layer
     // takes it from here (and markRepaired clears the corrupt bit
     // once a verified reconstruction lands).
-    table.markLost(chunk.stripe, chunk.chunk);
+    stripes_.markLost(chunk.stripe, chunk.chunk);
     pendingRepair_.insert(key(chunk));
     // Tier classification mirrors ReplicatorScanner::scanStripe: a
     // detected corruption is one fewer survivor, so it counts
     // toward data-loss-risk combined with real erasures.
     const int survivors = static_cast<int>(
         stripes_.availableChunks(chunk.stripe).size());
-    const int margin = survivors - table.code().k();
+    const int margin = survivors - stripes_.code().k();
     const RepairTier tier = margin < config_.riskMargin
                                 ? RepairTier::kDataLossRisk
                                 : RepairTier::kDegraded;

@@ -42,7 +42,7 @@
 
 #include "cluster/cluster.hh"
 #include "cluster/repair_queue.hh"
-#include "cluster/stripe_manager.hh"
+#include "cluster/stripe_table.hh"
 #include "util/types.hh"
 
 namespace chameleon {
@@ -97,7 +97,7 @@ class ScrubScanner
      * (direct path) at the given tier. */
     using DetectFn = std::function<void(FailedChunk, RepairTier)>;
 
-    ScrubScanner(Cluster &cluster, StripeManager &stripes,
+    ScrubScanner(Cluster &cluster, StripeTable &stripes,
                  Bytes chunk_bytes, ScrubConfig config);
 
     const ScrubConfig &config() const { return config_; }
@@ -164,7 +164,7 @@ class ScrubScanner
     }
 
     Cluster &cluster_;
-    StripeManager &stripes_;
+    StripeTable &stripes_;
     Bytes chunkBytes_;
     ScrubConfig config_;
     DetectFn onDetected_;

@@ -1,12 +1,16 @@
 /**
  * @file
- * Compact struct-of-arrays stripe metadata for large clusters.
+ * Stripe metadata: which chunk of which stripe lives on which node,
+ * which nodes have failed, and the derived views repair scheduling
+ * needs (surviving chunks, candidate destinations). This plays the
+ * role of the HDFS NameNode metadata that the paper's coordinator
+ * consults (Fig. 11, step 1).
  *
- * The original StripeManager representation kept one heap vector per
- * stripe for placement and another vector<bool> for lost flags —
- * two allocations and ~100 bytes of overhead per stripe, which caps
- * the simulated cluster at paper scale. StripeTable flattens the
- * same state into parallel arrays indexed by stripe id:
+ * A per-stripe representation (one heap vector for placement and
+ * another vector<bool> for lost flags) costs two allocations and
+ * ~100 bytes of overhead per stripe, which caps the simulated
+ * cluster at paper scale. StripeTable keeps the same state in
+ * parallel arrays indexed by stripe id:
  *
  *   placement_  flat NodeId array, slot = stripe * n + chunk
  *   lostBits_   one uint64_t lost-bitmask per stripe (n <= 64)
@@ -20,7 +24,7 @@
  * <= 16*n + 64 bytes per stripe including the per-node reverse
  * index and vector growth slack (see memoryBytes()).
  *
- * Two scale-oriented extensions over the legacy representation:
+ * Two scale-oriented extensions over a per-stripe representation:
  *
  * - A lazy per-node reverse index (packed `stripe * n + chunk`
  *   slots) makes failNode()/chunksOnNode() proportional to the

@@ -264,7 +264,7 @@ generateChaos(const ChaosConfig &config, int num_nodes, uint64_t seed)
 }
 
 FaultInjector::FaultInjector(cluster::Cluster &cluster,
-                             cluster::StripeManager &stripes,
+                             cluster::StripeTable &stripes,
                              InjectorHooks hooks)
     : cluster_(cluster), stripes_(stripes), hooks_(std::move(hooks)),
       minLiveNodes_(stripes.code().n()),

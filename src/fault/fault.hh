@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "cluster/cluster.hh"
-#include "cluster/stripe_manager.hh"
+#include "cluster/stripe_table.hh"
 #include "sim/simulator.hh"
 #include "telemetry/metrics.hh"
 #include "util/rng.hh"
@@ -177,7 +177,7 @@ class FaultInjector
 {
   public:
     FaultInjector(cluster::Cluster &cluster,
-                  cluster::StripeManager &stripes,
+                  cluster::StripeTable &stripes,
                   InjectorHooks hooks = {});
 
     /**
@@ -226,7 +226,7 @@ class FaultInjector
     void record(const FaultEvent &ev, bool applied);
 
     cluster::Cluster &cluster_;
-    cluster::StripeManager &stripes_;
+    cluster::StripeTable &stripes_;
     InjectorHooks hooks_;
     Rng rng_{0};
     int minLiveNodes_;

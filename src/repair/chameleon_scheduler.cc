@@ -9,12 +9,13 @@
 namespace chameleon {
 namespace repair {
 
-ChameleonScheduler::ChameleonScheduler(cluster::StripeManager &stripes,
+ChameleonScheduler::ChameleonScheduler(cluster::StripeTable &stripes,
                                        RepairExecutor &executor,
                                        BandwidthMonitor &monitor,
-                                       ChameleonConfig config, Rng rng)
-    : stripes_(stripes), executor_(executor), monitor_(monitor),
-      config_(config), rng_(rng),
+                                       ChameleonConfig config, Rng rng,
+                                       RetryConfig retry)
+    : RepairDriver(stripes, executor, retry, "repair.chameleon"),
+      monitor_(monitor), config_(config), rng_(rng),
       metPhases_(
           telemetry::metrics().counter("repair.chameleon.phases")),
       metDispatches_(
@@ -34,47 +35,10 @@ ChameleonScheduler::ChameleonScheduler(cluster::StripeManager &stripes,
 }
 
 void
-ChameleonScheduler::start(std::vector<cluster::FailedChunk> pending)
+ChameleonScheduler::admit()
 {
-    CHAMELEON_ASSERT(!started_, "scheduler already started");
-    started_ = true;
-    pending_.assign(pending.begin(), pending.end());
-    totalChunks_ = static_cast<int>(pending_.size());
-    auto &sim = executor_.cluster().simulator();
-    startTime_ = sim.now();
-    if (pending_.empty()) {
-        finishTime_ = startTime_;
-        return;
-    }
-    phaseLoopActive_ = true;
-    checkLoopActive_ = true;
-    runPhase();
-    sim.scheduleAfter(config_.checkPeriod, [this] { progressCheck(); });
-}
-
-void
-ChameleonScheduler::beginFeed()
-{
-    CHAMELEON_ASSERT(!started_, "scheduler already started");
-    started_ = true;
-    totalChunks_ = 0;
-    startTime_ = executor_.cluster().simulator().now();
-    finishTime_ = startTime_;
-}
-
-void
-ChameleonScheduler::enqueue(
-    const std::vector<cluster::FailedChunk> &chunks)
-{
-    CHAMELEON_ASSERT(started_, "enqueue before scheduler start");
-    if (chunks.empty())
-        return;
-    for (const auto &fc : chunks) {
-        pending_.push_back(fc);
-        ++totalChunks_;
-    }
-    // Same event ordering as start(): the phase begins (and admits)
-    // before the progress-check timer is armed.
+    // The first phase begins (and admits) before the progress-check
+    // timer is armed.
     if (!phaseLoopActive_) {
         phaseLoopActive_ = true;
         runPhase();
@@ -83,28 +47,29 @@ ChameleonScheduler::enqueue(
     }
     if (!checkLoopActive_) {
         checkLoopActive_ = true;
-        executor_.cluster().simulator().scheduleAfter(
-            config_.checkPeriod, [this] { progressCheck(); });
+        simulator().scheduleAfter(config_.checkPeriod,
+                                  [this] { progressCheck(); });
     }
 }
 
-bool
-ChameleonScheduler::finished() const
+void
+ChameleonScheduler::resume()
 {
-    return started_ &&
-           chunksRepaired_ + chunksUnrecoverable() == totalChunks_;
-}
-
-Rate
-ChameleonScheduler::throughput() const
-{
-    CHAMELEON_ASSERT(finished(), "repair not finished");
-    if (chunksRepaired_ == 0)
-        return 0.0;
-    SimTime span = finishTime_ - startTime_;
-    CHAMELEON_ASSERT(span > 0, "zero-length repair");
-    return static_cast<double>(chunksRepaired_) *
-           executor_.config().chunkSize / span;
+    if (pending_.empty())
+        return;
+    if (!checkLoopActive_) {
+        checkLoopActive_ = true;
+        simulator().scheduleAfter(config_.checkPeriod,
+                                  [this] { progressCheck(); });
+    }
+    if (!phaseLoopActive_) {
+        phaseLoopActive_ = true;
+        // runPhase() builds fresh monitor state, admits, and
+        // re-schedules itself.
+        runPhase();
+    }
+    if (phaseState_)
+        admitPending();
 }
 
 std::vector<cluster::FailedChunk>
@@ -156,12 +121,16 @@ ChameleonScheduler::admitChunk(PlannerState &state,
                                const cluster::FailedChunk &chunk,
                                bool force)
 {
+    switch (gate(chunk)) {
+      case Gate::kOpen:
+        break;
+      case Gate::kBusy:
+        return Admission::kNoDestination;
+      case Gate::kUnrecoverable:
+        return Admission::kUnrecoverable;
+    }
     auto avail = stripes_.availableChunks(chunk.stripe);
     auto pool = stripes_.code().helperPool(chunk.chunk, avail);
-    // Recoverability gate: fewer surviving helpers than the code
-    // needs means no plan exists (permanent for MDS stripes).
-    if (static_cast<int>(pool.candidates.size()) < pool.required)
-        return Admission::kUnrecoverable;
 
     PlannerChunkInput input;
     input.stripe = chunk.stripe;
@@ -187,16 +156,7 @@ ChameleonScheduler::admitChunk(PlannerState &state,
             }
         }
     }
-    auto dests = stripes_.candidateDestinations(chunk.stripe);
-    const auto &res = reserved_[chunk.stripe];
-    for (NodeId d : dests)
-        if (!res.count(d))
-            input.destCandidates.push_back(d);
-    if (input.destCandidates.empty() && res.empty()) {
-        // Not even an unreserved cluster has a slot for this stripe:
-        // no in-flight completion can free one up.
-        return Admission::kUnrecoverable;
-    }
+    input.destCandidates = freeDestinations(chunk.stripe);
 
     // Snapshot for rollback if the estimate rejects the chunk.
     auto up_snapshot = state.taskUp;
@@ -208,8 +168,7 @@ ChameleonScheduler::admitChunk(PlannerState &state,
     // Admit only if the in-flight work is expected to finish within
     // the remaining phase (completions release budget, see
     // onChunkDone, so early finishes let more chunks in mid-phase).
-    const SimTime budget =
-        phaseEnd_ - executor_.cluster().simulator().now();
+    const SimTime budget = phaseEnd_ - simulator().now();
     if (!force && planned->estimatedTime > budget) {
         state.taskUp = std::move(up_snapshot);
         state.taskDown = std::move(down_snapshot);
@@ -257,18 +216,15 @@ ChameleonScheduler::admitChunk(PlannerState &state,
         }
     }
 
-    reserved_[chunk.stripe].insert(plan.destination);
-    auto &sim = executor_.cluster().simulator();
-    SimTime now = sim.now();
+    reserve(chunk.stripe, plan.destination);
+    SimTime now = simulator().now();
     RepairId id = executor_.launch(
         plan,
         [this](const ChunkRepairPlan &p, SimTime t) {
-            // The id is recovered through the active set when the
-            // callback fires; see onChunkDone.
-            onChunkDone(kInvalidRepair, p, t);
+            onChunkDone(p, t);
         },
-        [this](const ChunkRepairPlan &p, NodeId cause, SimTime t) {
-            onChunkFailed(p, cause, t);
+        [this](const ChunkRepairPlan &p, NodeId, SimTime t) {
+            onChunkFailed(p, t);
         });
     activeIds_.insert(id);
     for (std::size_t j = 0; j < plan.sources.size(); ++j) {
@@ -294,14 +250,14 @@ void
 ChameleonScheduler::runPhase()
 {
     if (finished()) {
-        // The loop dies here; a later crash restarts it through
-        // maybeRestartLoops().
+        // The loop dies here; a later crash or retry restarts it
+        // through resume().
         phaseLoopActive_ = false;
         return;
     }
     ++phasesRun_;
     metPhases_.add();
-    auto &sim = executor_.cluster().simulator();
+    auto &sim = simulator();
     if (phaseSpanOpen_) {
         CHAMELEON_TELEM(telemetry::tracer().end(
             sim.now(), telemetry::kTrackScheduler));
@@ -406,7 +362,7 @@ ChameleonScheduler::admitPending()
             else
                 ++it;
         }
-        maybeFinish(executor_.cluster().simulator().now());
+        settle(simulator().now());
     } while (readmit_);
     admitting_ = false;
 }
@@ -418,7 +374,7 @@ ChameleonScheduler::progressCheck()
         checkLoopActive_ = false;
         return;
     }
-    auto &sim = executor_.cluster().simulator();
+    auto &sim = simulator();
     const SimTime now = sim.now();
     metChecks_.add();
 
@@ -607,26 +563,8 @@ ChameleonScheduler::sweepInactive()
 }
 
 void
-ChameleonScheduler::markUnrecoverable(const cluster::FailedChunk &chunk)
+ChameleonScheduler::onFinished(SimTime when)
 {
-    unrecoverable_.push_back(chunk);
-    CHAMELEON_TELEM(telemetry::tracer().instant(
-        executor_.cluster().simulator().now(), telemetry::kTrackFault,
-        "fault", "unrecoverable",
-        {{"stripe", chunk.stripe}, {"chunk", chunk.chunk}}));
-    telemetry::metrics()
-        .counter("repair.chameleon.unrecoverable")
-        .add();
-    if (outcomeHook_)
-        outcomeHook_(chunk, false);
-}
-
-void
-ChameleonScheduler::maybeFinish(SimTime when)
-{
-    if (!finished())
-        return;
-    finishTime_ = when;
     if (phaseSpanOpen_) {
         CHAMELEON_TELEM(telemetry::tracer().end(
             when, telemetry::kTrackScheduler));
@@ -634,113 +572,30 @@ ChameleonScheduler::maybeFinish(SimTime when)
     }
     CHAMELEON_TELEM(telemetry::tracer().instant(
         when, telemetry::kTrackScheduler, "repair", "finished",
-        {{"chunks", chunksRepaired_},
+        {{"chunks", chunksRepaired()},
          {"unrecoverable", chunksUnrecoverable()},
          {"phases", phasesRun_}}));
 }
 
 void
-ChameleonScheduler::maybeRestartLoops()
+ChameleonScheduler::onChunkDone(const ChunkRepairPlan &plan, SimTime when)
 {
-    if (finished())
-        return;
-    auto &sim = executor_.cluster().simulator();
-    if (!checkLoopActive_) {
-        checkLoopActive_ = true;
-        sim.scheduleAfter(config_.checkPeriod,
-                          [this] { progressCheck(); });
-    }
-    if (!phaseLoopActive_) {
-        phaseLoopActive_ = true;
-        // runPhase() builds fresh monitor state, admits, and
-        // re-schedules itself.
-        runPhase();
-    }
-}
-
-void
-ChameleonScheduler::onChunkDone(RepairId, const ChunkRepairPlan &plan,
-                                SimTime when)
-{
-    ++chunksRepaired_;
     releasePlanBudget(plan);
-    stripes_.markRepaired(plan.stripe, plan.failedChunk);
-    stripes_.relocate(plan.stripe, plan.failedChunk, plan.destination);
-    auto it = reserved_.find(plan.stripe);
-    if (it != reserved_.end()) {
-        it->second.erase(plan.destination);
-        if (it->second.empty())
-            reserved_.erase(it);
-    }
     sweepInactive();
-    // Before the finished() check: the hook may admit queued work
-    // (via the scanner pump), which extends the run.
-    if (outcomeHook_)
-        outcomeHook_({plan.stripe, plan.failedChunk}, true);
-    if (finished()) {
-        maybeFinish(when);
+    completeRepair(plan);
+    if (settle(when))
         return;
-    }
     admitPending();
 }
 
 void
 ChameleonScheduler::onChunkFailed(const ChunkRepairPlan &plan,
-                                  NodeId cause, SimTime when)
+                                  SimTime when)
 {
-    ++crashReplans_;
     releasePlanBudget(plan);
-    auto it = reserved_.find(plan.stripe);
-    if (it != reserved_.end()) {
-        it->second.erase(plan.destination);
-        if (it->second.empty())
-            reserved_.erase(it);
-    }
+    releaseReservation(plan.stripe, plan.destination);
     sweepInactive();
-    telemetry::metrics()
-        .counter("repair.chameleon.crash_replans")
-        .add();
-
-    cluster::FailedChunk fc{plan.stripe, plan.failedChunk};
-    CHAMELEON_ASSERT(stripes_.chunkLost(fc.stripe, fc.chunk),
-                     "aborted chunk is not lost");
-    int &attempts = retries_[{fc.stripe, fc.chunk}];
-    if (++attempts > config_.maxRetries) {
-        markUnrecoverable(fc);
-        maybeFinish(when);
-        return;
-    }
-    // Re-queue after a backoff so the burst of aborts from one
-    // crash settles before replacement plans pick sources.
-    ++retriesInAir_;
-    executor_.cluster().simulator().scheduleAfter(
-        config_.retryBackoff, [this, fc] {
-            --retriesInAir_;
-            pending_.push_back(fc);
-            maybeRestartLoops();
-            if (phaseState_)
-                admitPending();
-        });
-    (void)cause;
-}
-
-void
-ChameleonScheduler::onNodeCrash(
-    NodeId node, const std::vector<cluster::FailedChunk> &newly_lost)
-{
-    CHAMELEON_ASSERT(started_, "crash before scheduler start");
-    // Abort doomed in-flight repairs first; each abort lands in
-    // onChunkFailed and schedules its own re-plan.
-    executor_.abortChunksTouching(node);
-    for (const auto &fc : newly_lost) {
-        pending_.push_back(fc);
-        ++totalChunks_;
-    }
-    if (newly_lost.empty() && pending_.empty())
-        return;
-    maybeRestartLoops();
-    if (phaseState_)
-        admitPending();
+    retryLater({plan.stripe, plan.failedChunk}, when);
 }
 
 } // namespace repair

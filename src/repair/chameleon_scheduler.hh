@@ -10,20 +10,19 @@
  * chunk's remaining tasks into a waiting queue and wakes them when
  * their nodes fall idle or a backoff expires. A straggler is an edge
  * past its expectation whose in-flight transmission made no progress
- * since the previous check.
+ * since the previous check. Accounting, reservations and crash
+ * re-plans live in the RepairDriver base.
  */
 
 #ifndef CHAMELEON_REPAIR_CHAMELEON_SCHEDULER_HH_
 #define CHAMELEON_REPAIR_CHAMELEON_SCHEDULER_HH_
 
-#include <deque>
 #include <map>
+#include <memory>
 #include <set>
-#include <unordered_map>
 
-#include "cluster/stripe_manager.hh"
 #include "repair/chameleon_planner.hh"
-#include "repair/executor.hh"
+#include "repair/driver.hh"
 #include "repair/monitor.hh"
 #include "telemetry/metrics.hh"
 #include "util/rng.hh"
@@ -66,107 +65,44 @@ struct ChameleonConfig
     bool enableReordering = true;
     bool enableRetuning = true;
     RepairPriority priority = RepairPriority::kSequential;
-    /** Crash-abort re-plans per chunk before giving up on it. */
-    int maxRetries = 5;
-    /** Delay before a crash-aborted chunk is re-planned. */
-    SimTime retryBackoff = 1.0;
 
     bool operator==(const ChameleonConfig &) const = default;
 };
 
 /** The coordinator; see file comment. */
-class ChameleonScheduler
+class ChameleonScheduler : public RepairDriver
 {
   public:
-    ChameleonScheduler(cluster::StripeManager &stripes,
+    ChameleonScheduler(cluster::StripeTable &stripes,
                        RepairExecutor &executor,
                        BandwidthMonitor &monitor, ChameleonConfig config,
-                       Rng rng);
+                       Rng rng, RetryConfig retry = {});
 
-    /** Terminal per-chunk outcome notification (feed mode): fired
-     * once per chunk, with repaired=true on success and false when
-     * the chunk lands in the unrecoverable list. */
-    using OutcomeFn = std::function<void(
-        const cluster::FailedChunk &, bool repaired)>;
-
-    /** Starts repairing `pending`; the first phase begins now. */
-    void start(std::vector<cluster::FailedChunk> pending);
-
-    /**
-     * Starts the scheduler with no work: chunks arrive later
-     * through enqueue() (the ReplicatorScanner admission path).
-     * Mutually exclusive with start().
-     */
-    void beginFeed();
-
-    /** Adds admitted chunks; restarts the phase/check loops with
-     * start()'s event ordering if they are not running. */
-    void enqueue(const std::vector<cluster::FailedChunk> &chunks);
-
-    /** Installs the terminal-outcome hook; call before work runs. */
-    void setOutcomeHook(OutcomeFn fn) { outcomeHook_ = std::move(fn); }
-
-    /**
-     * Absorbs a mid-repair node crash (stripe manager and cluster
-     * must already say the node is dead): aborts in-flight repairs
-     * touching it, queues the crash's newly lost chunks, and
-     * restarts the phase/check loops if the scheduler had finished.
-     */
-    void onNodeCrash(NodeId node,
-                     const std::vector<cluster::FailedChunk>
-                         &newly_lost);
-
-    bool finished() const;
-    SimTime startTime() const { return startTime_; }
-    SimTime finishTime() const { return finishTime_; }
-    int chunksRepaired() const { return chunksRepaired_; }
-    int chunksUnrecoverable() const
-    {
-        return static_cast<int>(unrecoverable_.size());
-    }
-    const std::vector<cluster::FailedChunk> &unrecoverable() const
-    {
-        return unrecoverable_;
-    }
-    /** All chunks ever queued (initial failures + crash losses). */
-    int totalChunks() const { return totalChunks_; }
-    /** Chunks waiting for admission (retry backoffs included). */
-    int pendingCount() const
-    {
-        return static_cast<int>(pending_.size()) + retriesInAir_;
-    }
-    int inFlightCount() const
-    {
-        return static_cast<int>(activeIds_.size());
-    }
-    /** Chunk repairs aborted by crashes and re-queued. */
-    int crashReplans() const { return crashReplans_; }
     int phasesRun() const { return phasesRun_; }
     int retunes() const { return retunes_; }
     int reorders() const { return reorders_; }
 
-    /** Repaired bytes per second over the whole run. */
-    Rate throughput() const;
-
   private:
+    /** Restarts the phase/check loops with the first phase's event
+     * ordering if they are not running, else admits. */
+    void admit() override;
+    /** After a crash or a retry queued work: restarts the loops if
+     * they died with a finished scheduler (check loop first), then
+     * admits. */
+    void resume() override;
+    /** Closes the phase span and traces the finish. */
+    void onFinished(SimTime when) override;
     void runPhase();
     /** Admits pending chunks against the current phase state until
      * the estimated phase budget is spent. */
     void admitPending();
     void progressCheck();
-    void onChunkDone(RepairId id, const ChunkRepairPlan &plan,
-                     SimTime when);
-    void onChunkFailed(const ChunkRepairPlan &plan, NodeId cause,
-                       SimTime when);
-    void markUnrecoverable(const cluster::FailedChunk &chunk);
+    void onChunkDone(const ChunkRepairPlan &plan, SimTime when);
+    void onChunkFailed(const ChunkRepairPlan &plan, SimTime when);
     /** Credits a departed plan's tasks back to the phase budget. */
     void releasePlanBudget(const ChunkRepairPlan &plan);
     /** Drops completed ids from the active set and its side maps. */
     void sweepInactive();
-    /** Restarts the phase/check loops after a crash revived a
-     * finished scheduler (no-op while they run). */
-    void maybeRestartLoops();
-    void maybeFinish(SimTime when);
     enum class Admission {
         kAdmitted,
         kNoBudget,
@@ -178,14 +114,10 @@ class ChameleonScheduler
                          bool force);
     std::vector<cluster::FailedChunk> orderedPending() const;
 
-    cluster::StripeManager &stripes_;
-    RepairExecutor &executor_;
     BandwidthMonitor &monitor_;
     ChameleonConfig config_;
     Rng rng_;
-    OutcomeFn outcomeHook_;
 
-    std::deque<cluster::FailedChunk> pending_;
     /** Dispatcher state of the current phase (counts + estimates). */
     std::unique_ptr<PlannerState> phaseState_;
     /** End time of the current phase. */
@@ -196,7 +128,6 @@ class ChameleonScheduler
     /** Per-edge delivered counts at the previous progress check,
      * used to detect zero-progress (crawling) transmissions. */
     std::map<RepairId, std::vector<int>> lastDelivered_;
-    std::map<StripeId, std::set<NodeId>> reserved_;
 
     /** Metric handles (see telemetry/metrics.hh). */
     telemetry::Counter &metPhases_;
@@ -208,19 +139,9 @@ class ChameleonScheduler
     /** True while a phase span is open on the scheduler track. */
     bool phaseSpanOpen_ = false;
 
-    bool started_ = false;
-    SimTime startTime_ = 0.0;
-    SimTime finishTime_ = kTimeNever;
-    int totalChunks_ = 0;
-    int chunksRepaired_ = 0;
     int phasesRun_ = 0;
     int retunes_ = 0;
     int reorders_ = 0;
-    std::vector<cluster::FailedChunk> unrecoverable_;
-    /** Crash-abort counts per chunk, against maxRetries. */
-    std::map<std::pair<StripeId, ChunkIndex>, int> retries_;
-    int retriesInAir_ = 0;
-    int crashReplans_ = 0;
     /** True while the self-rescheduling loops are alive; they stop
      * when the scheduler finishes and a crash may restart them. */
     bool phaseLoopActive_ = false;

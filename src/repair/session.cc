@@ -1,137 +1,30 @@
 #include "repair/session.hh"
 
-#include <algorithm>
-
 #include "repair/dag_bridge.hh"
-#include "telemetry/telemetry.hh"
 #include "util/logging.hh"
 
 namespace chameleon {
 namespace repair {
 
-RepairSession::RepairSession(cluster::StripeManager &stripes,
+RepairSession::RepairSession(cluster::StripeTable &stripes,
                              RepairExecutor &executor, PlanFn plan_fn,
-                             SessionConfig config)
-    : stripes_(stripes), executor_(executor),
-      planFn_(std::move(plan_fn)), config_(config)
+                             SessionConfig config,
+                             dag::TopologySpec topology,
+                             RetryConfig retry)
+    : RepairDriver(stripes, executor, retry, "repair.session"),
+      planFn_(std::move(plan_fn)), config_(config),
+      topology_(topology)
 {
     CHAMELEON_ASSERT(config_.maxInFlight >= 1,
                      "window must be at least 1");
-    CHAMELEON_ASSERT(config_.maxRetries >= 0, "negative retry budget");
     CHAMELEON_ASSERT(planFn_ != nullptr, "null plan factory");
-}
-
-void
-RepairSession::setDagTopology(const dag::TopologySpec &spec)
-{
-    CHAMELEON_ASSERT(!started_,
-                     "topology override after session start");
-    topology_ = spec;
-}
-
-void
-RepairSession::start(std::vector<cluster::FailedChunk> pending)
-{
-    CHAMELEON_ASSERT(!started_, "session already started");
-    started_ = true;
-    pending_.assign(pending.begin(), pending.end());
-    totalChunks_ = static_cast<int>(pending_.size());
-    startTime_ = executor_.cluster().simulator().now();
-    if (pending_.empty()) {
-        finishTime_ = startTime_;
-        return;
-    }
-    pump();
-}
-
-void
-RepairSession::beginFeed()
-{
-    CHAMELEON_ASSERT(!started_, "session already started");
-    started_ = true;
-    totalChunks_ = 0;
-    startTime_ = executor_.cluster().simulator().now();
-    finishTime_ = startTime_;
-}
-
-void
-RepairSession::enqueue(
-    const std::vector<cluster::FailedChunk> &chunks)
-{
-    CHAMELEON_ASSERT(started_, "enqueue before session start");
-    if (chunks.empty())
-        return;
-    for (const auto &fc : chunks) {
-        pending_.push_back(fc);
-        ++totalChunks_;
-    }
-    pump();
-}
-
-bool
-RepairSession::finished() const
-{
-    return started_ &&
-           chunksRepaired_ + chunksUnrecoverable() == totalChunks_;
 }
 
 int
 RepairSession::pendingCount() const
 {
-    return static_cast<int>(pending_.size() + deferred_.size()) +
+    return static_cast<int>(pending_.size()) + deferredCount() +
            retriesInAir_;
-}
-
-Rate
-RepairSession::throughput() const
-{
-    CHAMELEON_ASSERT(finished(), "session not finished");
-    if (chunksRepaired_ == 0)
-        return 0.0;
-    SimTime span = finishTime_ - startTime_;
-    CHAMELEON_ASSERT(span > 0, "zero-length session");
-    return static_cast<double>(chunksRepaired_) *
-           executor_.config().chunkSize / span;
-}
-
-void
-RepairSession::markUnrecoverable(const cluster::FailedChunk &chunk)
-{
-    unrecoverable_.push_back(chunk);
-    CHAMELEON_TELEM(telemetry::tracer().instant(
-        executor_.cluster().simulator().now(), telemetry::kTrackFault,
-        "fault", "unrecoverable",
-        {{"stripe", chunk.stripe}, {"chunk", chunk.chunk}}));
-    telemetry::metrics().counter("repair.session.unrecoverable").add();
-    if (outcomeHook_)
-        outcomeHook_(chunk, false);
-}
-
-void
-RepairSession::releaseReservation(StripeId stripe, NodeId destination)
-{
-    auto it = reserved_.find(stripe);
-    if (it == reserved_.end())
-        return;
-    it->second.erase(destination);
-    if (it->second.empty())
-        reserved_.erase(it);
-}
-
-void
-RepairSession::requeueDeferred()
-{
-    while (!deferred_.empty()) {
-        pending_.push_back(deferred_.front());
-        deferred_.pop_front();
-    }
-}
-
-void
-RepairSession::checkFinished(SimTime when)
-{
-    if (finished())
-        finishTime_ = when;
 }
 
 void
@@ -140,44 +33,18 @@ RepairSession::pump()
     while (inFlight_ < config_.maxInFlight && !pending_.empty()) {
         cluster::FailedChunk fc = pending_.front();
         pending_.pop_front();
-
-        // Recoverability gate: fewer surviving helpers than the code
-        // needs means no plan can exist (for MDS codes this is
-        // permanent — a stripe short of k survivors stays short).
-        auto avail = stripes_.availableChunks(fc.stripe);
-        auto pool = stripes_.code().helperPool(fc.chunk, avail);
-        if (static_cast<int>(pool.candidates.size()) <
-            pool.required) {
-            markUnrecoverable(fc);
+        if (!passGate(fc))
             continue;
-        }
-
-        auto &res = reserved_[fc.stripe];
-        std::vector<NodeId> reserved(res.begin(), res.end());
-        // Destination gate: concurrent repairs of the same stripe
-        // may hold every candidate destination; park the chunk until
-        // one completes.
-        auto dests = stripes_.candidateDestinations(fc.stripe);
-        std::erase_if(dests, [&](NodeId d) { return res.count(d); });
-        if (dests.empty()) {
-            if (res.empty()) {
-                // Not even an unreserved cluster has a slot for this
-                // stripe: no completion can free one up.
-                markUnrecoverable(fc);
-            } else {
-                deferred_.push_back(fc);
-            }
-            continue;
-        }
-        ChunkRepairPlan plan = planFn_(fc, reserved);
-        res.insert(plan.destination);
+        ChunkRepairPlan plan =
+            planFn_(fc, reservedDestinations(fc.stripe));
+        reserve(fc.stripe, plan.destination);
 
         ++inFlight_;
         auto on_done = [this](const ChunkRepairPlan &p, SimTime t) {
             onChunkDone(p, t);
         };
-        auto on_fail = [this](const ChunkRepairPlan &p, NodeId cause,
-                              SimTime t) { onChunkFailed(p, cause, t); };
+        auto on_fail = [this](const ChunkRepairPlan &p, NodeId,
+                              SimTime t) { onChunkFailed(p, t); };
         if (topology_.kind != dag::RepairTopology::kAuto) {
             // Topology override: keep the planner's source set (and
             // coefficients) but execute it in the requested DAG
@@ -193,25 +60,16 @@ RepairSession::pump()
                              std::move(on_fail));
         }
     }
-    checkFinished(executor_.cluster().simulator().now());
+    settle(simulator().now());
 }
 
 void
 RepairSession::onChunkDone(const ChunkRepairPlan &plan, SimTime when)
 {
     --inFlight_;
-    ++chunksRepaired_;
-    stripes_.markRepaired(plan.stripe, plan.failedChunk);
-    stripes_.relocate(plan.stripe, plan.failedChunk, plan.destination);
-    releaseReservation(plan.stripe, plan.destination);
-    // Before the finished() check: the hook may admit queued work
-    // (via the scanner pump), which extends the session.
-    if (outcomeHook_)
-        outcomeHook_({plan.stripe, plan.failedChunk}, true);
-    if (finished()) {
-        finishTime_ = when;
+    completeRepair(plan);
+    if (settle(when))
         return;
-    }
     // A completion frees a destination: parked chunks get another
     // shot at planning.
     requeueDeferred();
@@ -219,51 +77,11 @@ RepairSession::onChunkDone(const ChunkRepairPlan &plan, SimTime when)
 }
 
 void
-RepairSession::onChunkFailed(const ChunkRepairPlan &plan, NodeId cause,
-                             SimTime when)
+RepairSession::onChunkFailed(const ChunkRepairPlan &plan, SimTime when)
 {
     --inFlight_;
-    ++crashReplans_;
     releaseReservation(plan.stripe, plan.destination);
-    telemetry::metrics().counter("repair.session.crash_replans").add();
-
-    cluster::FailedChunk fc{plan.stripe, plan.failedChunk};
-    CHAMELEON_ASSERT(stripes_.chunkLost(fc.stripe, fc.chunk),
-                     "aborted chunk is not lost");
-    int &attempts = retries_[{fc.stripe, fc.chunk}];
-    if (++attempts > config_.maxRetries) {
-        markUnrecoverable(fc);
-        checkFinished(when);
-        return;
-    }
-    // Re-plan after a backoff so the burst of aborts from one crash
-    // settles before replacement plans pick sources.
-    ++retriesInAir_;
-    executor_.cluster().simulator().scheduleAfter(
-        config_.retryBackoff, [this, fc] {
-            --retriesInAir_;
-            pending_.push_back(fc);
-            pump();
-        });
-    (void)cause;
-}
-
-void
-RepairSession::onNodeCrash(
-    NodeId node, const std::vector<cluster::FailedChunk> &newly_lost)
-{
-    CHAMELEON_ASSERT(started_, "crash before session start");
-    // Abort doomed in-flight repairs first; each abort lands in
-    // onChunkFailed and schedules its own re-plan.
-    executor_.abortChunksTouching(node);
-    for (const auto &fc : newly_lost) {
-        pending_.push_back(fc);
-        ++totalChunks_;
-    }
-    // Stripe geometry changed: parked chunks may be plannable now
-    // (or newly unrecoverable — pump sorts them).
-    requeueDeferred();
-    pump();
+    retryLater({plan.stripe, plan.failedChunk}, when);
 }
 
 } // namespace repair

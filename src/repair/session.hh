@@ -3,33 +3,21 @@
  * Full-node repair session for the baseline algorithms: keeps a
  * bounded window of chunk repairs in flight (as HDFS reconstruction
  * work queues do), builds each chunk's plan through a pluggable plan
- * factory (random baseline or RepairBoost selection), updates stripe
- * metadata as chunks complete, and reports repair throughput.
- *
- * The session survives mid-repair churn: onNodeCrash() aborts every
- * in-flight repair touching the dead node, folds the node's newly
- * lost chunks into the queue, and re-plans aborted chunks against
- * the surviving nodes after a short backoff (bounded retries). A
- * chunk whose stripe no longer has enough surviving helpers — or
- * that keeps getting aborted past the retry budget — lands in the
- * unrecoverable list, a graceful terminal state.
+ * factory (random baseline or RepairBoost selection), and executes
+ * it as the planner's tree or, under a topology override, as a
+ * slice-pipelined DAG. Accounting, reservations and crash re-plans
+ * live in the RepairDriver base.
  */
 
 #ifndef CHAMELEON_REPAIR_SESSION_HH_
 #define CHAMELEON_REPAIR_SESSION_HH_
 
-#include <deque>
-#include <functional>
-#include <map>
-#include <set>
-
-#include "cluster/stripe_manager.hh"
-#include "repair/executor.hh"
+#include "repair/driver.hh"
 
 namespace chameleon {
 namespace repair {
 
-/** Baseline session tuning. */
+/** Baseline session tuning (scenario key "session"). */
 struct SessionConfig
 {
     /**
@@ -41,17 +29,12 @@ struct SessionConfig
      * allow".
      */
     int maxInFlight = 64;
-    /** Crash-abort re-plans per chunk before giving up on it. */
-    int maxRetries = 5;
-    /** Delay before a crash-aborted chunk is re-planned, so one
-     * crash's burst of aborts settles before replacements launch. */
-    SimTime retryBackoff = 1.0;
 
     bool operator==(const SessionConfig &) const = default;
 };
 
 /** Windowed baseline repair runner; see file comment. */
-class RepairSession
+class RepairSession : public RepairDriver
 {
   public:
     /**
@@ -63,120 +46,36 @@ class RepairSession
         const cluster::FailedChunk &,
         const std::vector<NodeId> &reserved)>;
 
-    /** Terminal per-chunk outcome notification (feed mode): fired
-     * once per chunk, with repaired=true on success and false when
-     * the chunk lands in the unrecoverable list. */
-    using OutcomeFn = std::function<void(
-        const cluster::FailedChunk &, bool repaired)>;
-
-    RepairSession(cluster::StripeManager &stripes,
+    /**
+     * @param topology execution-topology override: instead of running
+     *        the planner's tree directly, rebuild each plan's source
+     *        set into this DAG shape (chain, PPR, MLF, star) and
+     *        execute it slice-pipelined via RepairExecutor::launchDag.
+     *        kAuto (the default) keeps the planner's native tree
+     *        execution. Non-combinable plans always degrade to the
+     *        star.
+     */
+    RepairSession(cluster::StripeTable &stripes,
                   RepairExecutor &executor, PlanFn plan_fn,
-                  SessionConfig config = {});
+                  SessionConfig config = {},
+                  dag::TopologySpec topology = {},
+                  RetryConfig retry = {});
 
-    /**
-     * Overrides every chunk's execution topology: instead of running
-     * the planner's tree directly, the session rebuilds the plan's
-     * source set into `spec`'s DAG shape (chain, PPR, MLF, star) and
-     * executes it slice-pipelined via RepairExecutor::launchDag.
-     * kAuto (the default) keeps the planner's native tree execution.
-     * Non-combinable plans always degrade to the star. Call before
-     * start().
-     */
-    void setDagTopology(const dag::TopologySpec &spec);
-
-    const dag::TopologySpec &dagTopology() const { return topology_; }
-
-    /** Begins repairing `pending` (FIFO order). */
-    void start(std::vector<cluster::FailedChunk> pending);
-
-    /**
-     * Starts the session with no work: chunks arrive later through
-     * enqueue() (the ReplicatorScanner admission path). Mutually
-     * exclusive with start().
-     */
-    void beginFeed();
-
-    /** Adds admitted chunks to the repair window (feed mode or
-     * after start()); plans and launches immediately. */
-    void enqueue(const std::vector<cluster::FailedChunk> &chunks);
-
-    /** Installs the terminal-outcome hook; call before work runs. */
-    void setOutcomeHook(OutcomeFn fn) { outcomeHook_ = std::move(fn); }
-
-    /**
-     * Absorbs a mid-repair node crash. Call after the stripe manager
-     * and cluster already marked the node dead: aborts in-flight
-     * repairs touching it (they re-plan after the retry backoff) and
-     * queues `newly_lost`, the chunks the crash destroyed.
-     */
-    void onNodeCrash(NodeId node,
-                     const std::vector<cluster::FailedChunk>
-                         &newly_lost);
-
-    /** True once every chunk is repaired or unrecoverable. A later
-     * crash can add work and make a finished session active again. */
-    bool finished() const;
-
-    SimTime startTime() const { return startTime_; }
-    SimTime finishTime() const { return finishTime_; }
-
-    int chunksRepaired() const { return chunksRepaired_; }
-    int chunksUnrecoverable() const
-    {
-        return static_cast<int>(unrecoverable_.size());
-    }
-    const std::vector<cluster::FailedChunk> &unrecoverable() const
-    {
-        return unrecoverable_;
-    }
-    /** All chunks ever queued (initial failures + crash losses). */
-    int totalChunks() const { return totalChunks_; }
-    /** Chunks waiting to be planned (deferred + backoff included). */
+    /** Chunks waiting to be planned (parked + backoff included). */
     int pendingCount() const;
     int inFlightCount() const { return inFlight_; }
-    /** Chunk repairs aborted by crashes and re-queued. */
-    int crashReplans() const { return crashReplans_; }
-
-    /** Repaired bytes per second over the whole session. */
-    Rate throughput() const;
 
   private:
+    void admit() override { pump(); }
     void pump();
     void onChunkDone(const ChunkRepairPlan &plan, SimTime when);
-    void onChunkFailed(const ChunkRepairPlan &plan, NodeId cause,
-                       SimTime when);
-    void markUnrecoverable(const cluster::FailedChunk &chunk);
-    void releaseReservation(StripeId stripe, NodeId destination);
-    /** Moves deferred chunks back into the queue (destinations or
-     * helpers may have changed). */
-    void requeueDeferred();
-    void checkFinished(SimTime when);
+    void onChunkFailed(const ChunkRepairPlan &plan, SimTime when);
 
-    cluster::StripeManager &stripes_;
-    RepairExecutor &executor_;
     PlanFn planFn_;
-    OutcomeFn outcomeHook_;
     SessionConfig config_;
     /** Execution-topology override; kAuto = native tree path. */
     dag::TopologySpec topology_;
-    std::deque<cluster::FailedChunk> pending_;
-    /** Chunks that currently cannot be planned (no free destination);
-     * retried when a repair completes or the cluster changes. */
-    std::deque<cluster::FailedChunk> deferred_;
-    std::vector<cluster::FailedChunk> unrecoverable_;
-    /** Crash-abort counts per chunk, against maxRetries. */
-    std::map<std::pair<StripeId, ChunkIndex>, int> retries_;
     int inFlight_ = 0;
-    /** Chunks whose retry backoff timer is pending. */
-    int retriesInAir_ = 0;
-    int chunksRepaired_ = 0;
-    int totalChunks_ = 0;
-    int crashReplans_ = 0;
-    SimTime startTime_ = 0.0;
-    SimTime finishTime_ = kTimeNever;
-    /** Destinations claimed by in-flight repairs, per stripe. */
-    std::map<StripeId, std::set<NodeId>> reserved_;
-    bool started_ = false;
 };
 
 } // namespace repair

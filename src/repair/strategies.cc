@@ -10,7 +10,7 @@ namespace repair {
 namespace {
 
 std::vector<NodeId>
-eligibleDestinations(const cluster::StripeManager &stripes,
+eligibleDestinations(const cluster::StripeTable &stripes,
                      StripeId stripe,
                      const std::vector<NodeId> &reserved)
 {
@@ -28,7 +28,7 @@ eligibleDestinations(const cluster::StripeManager &stripes,
 }
 
 std::vector<PlanSource>
-sourcesFromSpec(const cluster::StripeManager &stripes, StripeId stripe,
+sourcesFromSpec(const cluster::StripeTable &stripes, StripeId stripe,
                 const ec::RepairSpec &spec)
 {
     std::vector<PlanSource> sources;
@@ -77,7 +77,7 @@ topologyName(Topology topology)
 }
 
 ChunkRepairPlan
-makeBaselinePlan(const cluster::StripeManager &stripes,
+makeBaselinePlan(const cluster::StripeTable &stripes,
                  const cluster::FailedChunk &failed, Topology topology,
                  const std::vector<NodeId> &reserved, Rng &rng)
 {
@@ -117,7 +117,7 @@ RepairBoostSelector::assignedDownload(NodeId node) const
 }
 
 ChunkRepairPlan
-RepairBoostSelector::makePlan(const cluster::StripeManager &stripes,
+RepairBoostSelector::makePlan(const cluster::StripeTable &stripes,
                               const cluster::FailedChunk &failed,
                               Topology topology,
                               const std::vector<NodeId> &reserved,

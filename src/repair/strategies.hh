@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "cluster/stripe_manager.hh"
+#include "cluster/stripe_table.hh"
 #include "repair/plan.hh"
 #include "util/rng.hh"
 
@@ -39,7 +39,7 @@ std::string topologyName(Topology topology);
  *                  already claimed as destinations (excluded).
  */
 ChunkRepairPlan
-makeBaselinePlan(const cluster::StripeManager &stripes,
+makeBaselinePlan(const cluster::StripeTable &stripes,
                  const cluster::FailedChunk &failed, Topology topology,
                  const std::vector<NodeId> &reserved, Rng &rng);
 
@@ -61,7 +61,7 @@ class RepairBoostSelector
      * repair the chunk (non-MDS corner cases).
      */
     ChunkRepairPlan
-    makePlan(const cluster::StripeManager &stripes,
+    makePlan(const cluster::StripeTable &stripes,
              const cluster::FailedChunk &failed, Topology topology,
              const std::vector<NodeId> &reserved, Rng &rng);
 

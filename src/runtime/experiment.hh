@@ -97,6 +97,8 @@ struct ExperimentConfig
     SimTime warmup = 16.0;
     repair::ChameleonConfig chameleon;
     repair::SessionConfig session;
+    /** Crash-retry policy of whichever repair driver runs. */
+    repair::RetryConfig retry;
     /**
      * Execution-topology override for session algorithms (CR/PPR/
      * ECPipe families): rebuilds each plan's source set into the
@@ -134,8 +136,9 @@ struct ExperimentConfig
     double bitrotRate = 0.0;
     /** Hedged degraded-read policy; degraded.enabled routes the
      * run's repairs through traffic::HedgedReadManager instead of
-     * the session/scheduler (session algorithms only — the
-     * Chameleon dispatcher owns its own plans). */
+     * the session (session algorithms only: the Chameleon
+     * dispatcher owns its own plans, and hedged attempts are stars,
+     * so no topology override applies). */
     traffic::HedgedReadConfig degraded;
     uint64_t seed = 1;
     /** Hard wall on simulated time (guards runaway runs). */
@@ -170,6 +173,10 @@ struct ExperimentResult
     int chunksUnrecoverable = 0;
     /** Chunk repairs aborted by mid-repair crashes and re-planned. */
     int crashReplans = 0;
+    /** Chunks still lost when the run ends. Once every loss is
+     * discovered and settled, these are exactly the unrecoverable
+     * ones, so repaired + this counts the losses. */
+    int chunksLostAtEnd = 0;
     /** Faults the injector applied (skipped events excluded). */
     int faultsInjected = 0;
     /** Foreground request latency during the repair window (ms). */

@@ -96,8 +96,7 @@ Runtime::run(const ExperimentHooks &hooks)
     Rng rng(config.seed);
     sim::Simulator sim;
     cluster::Cluster cluster(sim, config.cluster);
-    cluster::StripeManager stripes(config.code,
-                                   config.cluster.numNodes);
+    cluster::StripeTable stripes(config.code, config.cluster.numNodes);
 
     // Create stripes: either an exact count (scale runs) or, by
     // default, until node 0 hosts exactly chunksToRepair chunks
@@ -133,12 +132,12 @@ Runtime::run(const ExperimentHooks &hooks)
             stripes, *queue, sim, config.scanner);
     }
 
-    std::unique_ptr<traffic::ForegroundDriver> driver;
+    std::unique_ptr<traffic::ForegroundDriver> foreground;
     if (config.trace) {
-        driver = std::make_unique<traffic::ForegroundDriver>(
+        foreground = std::make_unique<traffic::ForegroundDriver>(
             cluster, *config.trace, rng.split(),
             config.requestsPerClient);
-        driver->start();
+        foreground->start();
     }
 
     auto dimension = algorithm == Algorithm::kChameleonIo
@@ -164,11 +163,11 @@ Runtime::run(const ExperimentHooks &hooks)
             pending.insert(pending.end(), lost.begin(), lost.end());
         }
         cluster.markNodeDown(n);
-        if (driver)
-            driver->excludeNode(n);
+        if (foreground)
+            foreground->excludeNode(n);
     }
     const std::size_t lat_start =
-        driver ? driver->latencies().count() : 0;
+        foreground ? foreground->latencies().count() : 0;
     const SimTime repair_start = sim.now();
 
     // Snapshot per-link byte counters for the load analysis.
@@ -233,11 +232,13 @@ Runtime::run(const ExperimentHooks &hooks)
         scrub = std::make_unique<cluster::ScrubScanner>(
             cluster, stripes, config.exec.chunkSize, config.scrub);
 
-    // Launch the repair machinery.
-    std::unique_ptr<repair::RepairSession> session;
-    std::unique_ptr<repair::ChameleonScheduler> scheduler;
+    // Launch the repair machinery: one driver per algorithm family.
+    // The family-specific results are read through the typed
+    // pointers kept here.
+    std::unique_ptr<repair::RepairDriver> driver;
+    repair::ChameleonScheduler *scheduler = nullptr;
+    traffic::HedgedReadManager *hedged = nullptr;
     std::unique_ptr<repair::RepairBoostSelector> rb;
-    std::unique_ptr<traffic::HedgedReadManager> hedged;
     if (algorithm == Algorithm::kNone) {
         // trace-only run
     } else if (config.degraded.enabled) {
@@ -245,11 +246,6 @@ Runtime::run(const ExperimentHooks &hooks)
                          "degraded.enabled does not apply to ",
                          algorithmName(algorithm),
                          ": the Chameleon dispatcher owns its plans");
-        CHAMELEON_ASSERT(!scan_mode, "degraded reads are driven by an "
-                                     "eager work list, not the "
-                                     "scanner path");
-        CHAMELEON_ASSERT(!config.scrub.enabled,
-                         "degraded reads do not route scrub repairs");
         CHAMELEON_ASSERT(
             config.topology.kind == dag::RepairTopology::kAuto,
             "degraded reads are direct star reconstructions; no "
@@ -258,9 +254,10 @@ Runtime::run(const ExperimentHooks &hooks)
         // so the fault injector's stream stays aligned with a
         // same-seed session run.
         (void)rng.split();
-        hedged = std::make_unique<traffic::HedgedReadManager>(
-            stripes, executor, monitor, config.degraded);
-        hedged->start(pending);
+        auto manager = std::make_unique<traffic::HedgedReadManager>(
+            stripes, executor, monitor, config.degraded, config.retry);
+        hedged = manager.get();
+        driver = std::move(manager);
     } else if (isChameleonFamily(algorithm)) {
         CHAMELEON_ASSERT(
             config.topology.kind == dag::RepairTopology::kAuto,
@@ -272,30 +269,10 @@ Runtime::run(const ExperimentHooks &hooks)
             ccfg.enableReordering = false;
             ccfg.enableRetuning = false;
         }
-        scheduler = std::make_unique<repair::ChameleonScheduler>(
-            stripes, executor, monitor, ccfg, rng.split());
-        if (scan_mode) {
-            scheduler->beginFeed();
-            scanner->setDispatch(
-                [sch = scheduler.get()](
-                    std::vector<cluster::FailedChunk> chunks) {
-                    sch->enqueue(chunks);
-                });
-            scheduler->setOutcomeHook(
-                [sc = scanner.get(), sb = scrub.get()](
-                    const cluster::FailedChunk &fc, bool ok) {
-                    sc->onChunkOutcome(fc, ok);
-                    if (sb)
-                        sb->noteOutcome(fc, ok);
-                });
-            // One synchronous sweep at the exact point the direct
-            // path would hand over its work list keeps small-scale
-            // scanner runs byte-identical to direct runs.
-            scanner->primeSync();
-            scanner->start();
-        } else {
-            scheduler->start(pending);
-        }
+        auto coordinator = std::make_unique<repair::ChameleonScheduler>(
+            stripes, executor, monitor, ccfg, rng.split(), config.retry);
+        scheduler = coordinator.get();
+        driver = std::move(coordinator);
     } else {
         repair::Topology topo = topologyOf(algorithm);
         Rng plan_rng = rng.split();
@@ -316,60 +293,51 @@ Runtime::run(const ExperimentHooks &hooks)
                                                 reserved, plan_rng);
             };
         }
-        session = std::make_unique<repair::RepairSession>(
-            stripes, executor, std::move(plan_fn), config.session);
-        if (config.topology.kind != dag::RepairTopology::kAuto)
-            session->setDagTopology(config.topology);
-        if (scan_mode) {
-            session->beginFeed();
-            scanner->setDispatch(
-                [se = session.get()](
-                    std::vector<cluster::FailedChunk> chunks) {
-                    se->enqueue(chunks);
-                });
-            session->setOutcomeHook(
-                [sc = scanner.get(), sb = scrub.get()](
-                    const cluster::FailedChunk &fc, bool ok) {
-                    sc->onChunkOutcome(fc, ok);
-                    if (sb)
-                        sb->noteOutcome(fc, ok);
-                });
-            scanner->primeSync();
-            scanner->start();
-        } else {
-            session->start(pending);
-        }
+        driver = std::make_unique<repair::RepairSession>(
+            stripes, executor, std::move(plan_fn), config.session,
+            config.topology, config.retry);
+    }
+
+    if (driver && scan_mode) {
+        scanner->setDispatch(
+            [r = driver.get()](std::vector<cluster::FailedChunk> chunks) {
+                r->enqueue(chunks);
+            });
+        driver->setOutcomeHook(
+            [sc = scanner.get(), sb = scrub.get()](
+                const cluster::FailedChunk &fc, bool ok) {
+                sc->onChunkOutcome(fc, ok);
+                if (sb)
+                    sb->noteOutcome(fc, ok);
+            });
+        // One synchronous sweep at the exact point the eager path
+        // hands over its work list keeps small-scale scanner runs
+        // byte-identical to eager runs.
+        scanner->primeSync();
+        scanner->start();
+    } else if (driver) {
+        if (scrub)
+            driver->setOutcomeHook(
+                [sb = scrub.get()](const cluster::FailedChunk &fc,
+                                   bool ok) { sb->noteOutcome(fc, ok); });
+        driver->enqueue(pending);
     }
 
     if (scrub) {
-        // Direct-path runs have no scanner outcome hook to chain
-        // behind; install the scrub bookkeeping as the sole hook.
-        if (!scan_mode) {
-            auto outcome = [sb = scrub.get()](
-                               const cluster::FailedChunk &fc,
-                               bool ok) { sb->noteOutcome(fc, ok); };
-            if (scheduler)
-                scheduler->setOutcomeHook(outcome);
-            else if (session)
-                session->setOutcomeHook(outcome);
-        }
         // Detected corruptions enter repair through the same door as
         // discovered losses: the prioritized queue on the scanner
-        // path, the live feed otherwise. Deferred — detection can
+        // path, the driver's feed otherwise. Deferred — detection can
         // fire from the executor's verify hooks inside flow
         // dispatch, where launching repairs must not re-enter.
-        scrub->setOnDetected([&sim, &queue, &scanner, &scheduler,
-                              &session, scan_mode](
-                                 cluster::FailedChunk fc,
-                                 cluster::RepairTier tier) {
+        scrub->setOnDetected([&sim, &queue, &scanner, &driver,
+                              scan_mode](cluster::FailedChunk fc,
+                                         cluster::RepairTier tier) {
             sim.scheduleAfter(0.0, [&, fc, tier] {
                 if (scan_mode) {
                     queue->push(fc, tier);
                     scanner->pumpAdmission();
-                } else if (scheduler) {
-                    scheduler->enqueue({fc});
-                } else if (session) {
-                    session->enqueue({fc});
+                } else {
+                    driver->enqueue({fc});
                 }
             });
         });
@@ -404,7 +372,7 @@ Runtime::run(const ExperimentHooks &hooks)
                 }
                 // Verification off: the corrupt helper's garbage is
                 // folded into the reconstruction. Re-mark after the
-                // session's markRepaired clears the bit, so the
+                // driver's markRepaired clears the bit, so the
                 // propagated corruption stays scrubbable.
                 telemetry::metrics()
                     .counter("integrity.corruptions_propagated")
@@ -453,20 +421,16 @@ Runtime::run(const ExperimentHooks &hooks)
             fault_hooks.onCrash =
                 [&](NodeId node,
                     const std::vector<cluster::FailedChunk> &lost) {
+                    if (foreground)
+                        foreground->excludeNode(node);
                     if (driver)
-                        driver->excludeNode(node);
-                    if (scheduler)
-                        scheduler->onNodeCrash(node, lost);
-                    else if (hedged)
-                        hedged->onNodeCrash(node, lost);
-                    else if (session)
-                        session->onNodeCrash(node, lost);
+                        driver->onNodeCrash(node, lost);
                     if (scanner)
                         scanner->noteCrash(node);
                 };
             fault_hooks.onRejoin = [&](NodeId node) {
-                if (driver)
-                    driver->includeNode(node);
+                if (foreground)
+                    foreground->includeNode(node);
                 if (scanner)
                     scanner->noteRejoin(node);
             };
@@ -489,11 +453,9 @@ Runtime::run(const ExperimentHooks &hooks)
     }
 
     auto repair_done = [&] {
-        if (algorithm == Algorithm::kNone)
+        if (!driver)
             return true;
-        const bool done = scheduler ? scheduler->finished()
-                          : hedged  ? hedged->finished()
-                                    : session->finished();
+        const bool done = driver->finished();
         // With scrubbing on, the repair layer idling is not enough
         // either: every injected corruption must have been surfaced
         // and re-repaired (bounded by one scrub epoch), or claimed
@@ -508,16 +470,16 @@ Runtime::run(const ExperimentHooks &hooks)
         return done && scanner->discoveryComplete() && queue->idle();
     };
     auto trace_done = [&] {
-        if (!driver || config.requestsPerClient == 0)
+        if (!foreground || config.requestsPerClient == 0)
             return true;
-        return driver->finished();
+        return foreground->finished();
     };
 
     ExperimentResult result;
     result.algorithm = algorithm;
     SimTime repair_finish = repair_start;
     std::size_t lat_end = lat_start;
-    bool repair_seen_done = (algorithm == Algorithm::kNone);
+    bool repair_seen_done = !driver;
     auto uplink_repair_bytes = [&] {
         net.sync();
         Bytes acc = 0;
@@ -540,24 +502,19 @@ Runtime::run(const ExperimentHooks &hooks)
         traffic_before = traffic_now;
         if (!repair_seen_done && repair_done()) {
             repair_seen_done = true;
-            repair_finish = scheduler ? scheduler->finishTime()
-                            : hedged  ? hedged->finishTime()
-                                      : session->finishTime();
-            lat_end = driver ? driver->latencies().count() : 0;
+            repair_finish = driver->finishTime();
+            lat_end = foreground ? foreground->latencies().count() : 0;
         }
         if (hooks.onSample)
-            hooks.onSample(sim.now(), driver.get());
+            hooks.onSample(sim.now(), foreground.get());
     }
     if (!repair_done()) {
         CHAMELEON_WARN("experiment hit the simulated-time cap (",
                        algorithmName(algorithm), ")");
     }
-    if (algorithm != Algorithm::kNone && repair_done() &&
-        !repair_seen_done) {
-        repair_finish = scheduler ? scheduler->finishTime()
-                        : hedged  ? hedged->finishTime()
-                                  : session->finishTime();
-        lat_end = driver ? driver->latencies().count() : 0;
+    if (driver && repair_done() && !repair_seen_done) {
+        repair_finish = driver->finishTime();
+        lat_end = foreground ? foreground->latencies().count() : 0;
     }
 
     // Capture end-of-window byte counters before draining.
@@ -583,24 +540,16 @@ Runtime::run(const ExperimentHooks &hooks)
         scrub->stop();
     if (scanner)
         scanner->stop();
-    if (driver)
-        driver->stop();
+    if (foreground)
+        foreground->stop();
     monitor.stop();
     sim.run(sim.now() + 200.0);
 
     // ---- Metrics.
-    if (algorithm != Algorithm::kNone && repair_done()) {
-        result.chunksRepaired = scheduler
-                                    ? scheduler->chunksRepaired()
-                                : hedged ? hedged->chunksRepaired()
-                                         : session->chunksRepaired();
-        result.chunksUnrecoverable =
-            scheduler ? scheduler->chunksUnrecoverable()
-            : hedged  ? hedged->chunksUnrecoverable()
-                      : session->chunksUnrecoverable();
-        result.crashReplans = scheduler ? scheduler->crashReplans()
-                              : hedged  ? hedged->crashReplans()
-                                        : session->crashReplans();
+    if (driver && repair_done()) {
+        result.chunksRepaired = driver->chunksRepaired();
+        result.chunksUnrecoverable = driver->chunksUnrecoverable();
+        result.crashReplans = driver->crashReplans();
         result.repairTime = repair_finish - repair_start;
         if (result.chunksRepaired > 0) {
             CHAMELEON_ASSERT(result.repairTime > 0,
@@ -620,6 +569,8 @@ Runtime::run(const ExperimentHooks &hooks)
             result.degradedLatency = hedged->latencies().summary();
         }
     }
+    result.chunksLostAtEnd =
+        static_cast<int>(stripes.lostChunks().size());
     if (injector)
         result.faultsInjected = injector->faultsInjected();
     if (scrub) {
@@ -634,8 +585,8 @@ Runtime::run(const ExperimentHooks &hooks)
         result.meanDetectionLatency = scrub->meanDetectionLatency();
         result.maxDetectionLatency = scrub->maxDetectionLatency();
     }
-    if (driver) {
-        const auto &lat = driver->latencies();
+    if (foreground) {
+        const auto &lat = foreground->latencies();
         // Latency over the repair window (or the whole loaded run
         // for trace-only cells).
         std::size_t from = lat_start;
@@ -645,11 +596,11 @@ Runtime::run(const ExperimentHooks &hooks)
         result.latency = lat.summaryFrom(from);
         result.p99LatencyMs = result.latency.p99 * 1e3;
         result.meanLatencyMs = result.latency.mean * 1e3;
-        if (config.requestsPerClient != 0 && driver->finished())
-            result.traceTime = driver->completionTime();
+        if (config.requestsPerClient != 0 && foreground->finished())
+            result.traceTime = foreground->completionTime();
     }
     const SimTime window_end =
-        (algorithm != Algorithm::kNone && repair_done())
+        (driver && repair_done())
             ? repair_finish
             : sim.now();
     const SimTime span = std::max(window_end - repair_start, 1e-9);

@@ -382,9 +382,9 @@ ScenarioSpec::fromJson(const std::string &text, std::string *error)
                    {"name", "algorithm", "code", "trace", "cluster",
                     "executor", "chunks_to_repair", "stripes",
                     "failed_nodes", "requests_per_client", "warmup",
-                    "chameleon", "session", "topology", "stragglers",
-                    "faults", "chaos", "scanner", "scrub", "degraded",
-                    "seed", "sim_time_cap"},
+                    "chameleon", "session", "retry", "topology",
+                    "stragglers", "faults", "chaos", "scanner", "scrub",
+                    "degraded", "seed", "sim_time_cap"},
                    err))
         return fail(err);
 
@@ -456,8 +456,7 @@ ScenarioSpec::fromJson(const std::string &text, std::string *error)
         if (!checkKeys(*ch, "chameleon",
                        {"t_phase", "check_period", "straggler_slack",
                         "expectation_factor", "reorder_backoff",
-                        "reordering", "retuning", "priority",
-                        "max_retries", "retry_backoff"},
+                        "reordering", "retuning", "priority"},
                        err) ||
             !readNum(*ch, "t_phase", &spec.chameleon.tPhase, err) ||
             !readNum(*ch, "check_period",
@@ -472,11 +471,7 @@ ScenarioSpec::fromJson(const std::string &text, std::string *error)
                       &spec.chameleon.enableReordering, err) ||
             !readBool(*ch, "retuning",
                       &spec.chameleon.enableRetuning, err) ||
-            !readStr(*ch, "priority", &prio, err) ||
-            !readInt(*ch, "max_retries", &spec.chameleon.maxRetries,
-                     err) ||
-            !readNum(*ch, "retry_backoff",
-                     &spec.chameleon.retryBackoff, err))
+            !readStr(*ch, "priority", &prio, err))
             return fail(err);
         auto parsed_prio = priorityFromKey(prio);
         if (!parsed_prio)
@@ -484,16 +479,15 @@ ScenarioSpec::fromJson(const std::string &text, std::string *error)
         spec.chameleon.priority = *parsed_prio;
     }
     if (const JsonValue *se = doc->find("session")) {
-        if (!checkKeys(*se, "session",
-                       {"max_in_flight", "max_retries",
-                        "retry_backoff"},
-                       err) ||
+        if (!checkKeys(*se, "session", {"max_in_flight"}, err) ||
             !readInt(*se, "max_in_flight",
-                     &spec.session.maxInFlight, err) ||
-            !readInt(*se, "max_retries", &spec.session.maxRetries,
-                     err) ||
-            !readNum(*se, "retry_backoff",
-                     &spec.session.retryBackoff, err))
+                     &spec.session.maxInFlight, err))
+            return fail(err);
+    }
+    if (const JsonValue *rt = doc->find("retry")) {
+        if (!checkKeys(*rt, "retry", {"max_retries", "backoff"}, err) ||
+            !readInt(*rt, "max_retries", &spec.retry.maxRetries, err) ||
+            !readNum(*rt, "backoff", &spec.retry.backoff, err))
             return fail(err);
     }
     std::string topo = dag::topologyKey(spec.topology);
@@ -563,8 +557,7 @@ ScenarioSpec::fromJson(const std::string &text, std::string *error)
         if (!checkKeys(*dg, "degraded",
                        {"enabled", "hedge", "hedge_multiplier",
                         "hedge_min_delay", "max_hedges",
-                        "max_in_flight", "max_retries",
-                        "retry_backoff"},
+                        "max_in_flight"},
                        err) ||
             !readBool(*dg, "enabled", &spec.degraded.enabled, err) ||
             !readBool(*dg, "hedge", &spec.degraded.hedge, err) ||
@@ -575,11 +568,7 @@ ScenarioSpec::fromJson(const std::string &text, std::string *error)
             !readInt(*dg, "max_hedges", &spec.degraded.maxHedges,
                      err) ||
             !readInt(*dg, "max_in_flight",
-                     &spec.degraded.maxInFlight, err) ||
-            !readInt(*dg, "max_retries", &spec.degraded.maxRetries,
-                     err) ||
-            !readNum(*dg, "retry_backoff",
-                     &spec.degraded.retryBackoff, err))
+                     &spec.degraded.maxInFlight, err))
             return fail(err);
     }
 
@@ -613,106 +602,115 @@ ScenarioSpec::fromJson(const std::string &text, std::string *error)
         spec.faults = std::move(*parsed);
     }
 
-    // Dimension sanity (the asserts Runtime would otherwise hit).
-    if (spec.cluster.numNodes < 1)
+    if (!spec.validate(&err))
+        return fail(err);
+    return spec;
+}
+
+bool
+ScenarioSpec::validate(std::string *error) const
+{
+    auto fail = [&](const std::string &msg) {
+        if (error)
+            *error = msg;
+        return false;
+    };
+    // Dimensions (the asserts Runtime would otherwise hit).
+    if (cluster.numNodes < 1)
         return fail("cluster.nodes must be >= 1");
-    if (spec.cluster.numClients < 0)
+    if (cluster.numClients < 0)
         return fail("cluster.clients must be >= 0");
-    if (spec.cluster.uplinkBw <= 0 || spec.cluster.downlinkBw <= 0 ||
-        spec.cluster.diskBw <= 0)
-        return fail("cluster bandwidths must be positive");
-    if (spec.exec.chunkSize <= 0 || spec.exec.sliceSize <= 0 ||
-        spec.exec.sliceSize > spec.exec.chunkSize)
+    for (const auto &[key, bw] :
+         {std::pair{"uplink_bw", cluster.uplinkBw},
+          std::pair{"downlink_bw", cluster.downlinkBw},
+          std::pair{"disk_bw", cluster.diskBw}})
+        if (bw <= 0)
+            return fail(std::string("cluster bandwidths must be "
+                                    "positive: cluster.") +
+                        key + " is " + formatDouble(bw));
+    if (exec.chunkSize <= 0 || exec.sliceSize <= 0 ||
+        exec.sliceSize > exec.chunkSize)
         return fail("executor sizes must satisfy "
                     "0 < slice_size <= chunk_size");
-    if (spec.exec.slices < 0 || spec.exec.slices > 16384)
+    if (exec.slices < 0 || exec.slices > 16384)
         return fail("executor.slices must be in [0, 16384] "
                     "(0 = derive from slice_size)");
-    if (spec.topology.kind != dag::RepairTopology::kAuto) {
-        if (!isSessionAlgorithm(spec.algorithm))
-            return fail("topology '" + topo +
-                        "' only applies to session algorithms "
-                        "(cr|ppr|ecpipe|rb-*); '" +
-                        algorithmKey(spec.algorithm) +
-                        "' owns its own plan shapes");
-    }
-    if (spec.chunksToRepair < 1)
+    if (chunksToRepair < 1)
         return fail("chunks_to_repair must be >= 1");
-    if (spec.stripes < 0)
+    if (stripes < 0)
         return fail("stripes must be >= 0 "
                     "(0 = grow to chunks_to_repair)");
-    if (spec.scanner.batchSize < 1)
+    if (failedNodes < 1 || failedNodes > cluster.numNodes)
+        return fail("failed_nodes must be in [1, cluster.nodes]");
+    if (retry.maxRetries < 0)
+        return fail("retry.max_retries must be >= 0");
+    if (retry.backoff < 0)
+        return fail("retry.backoff must be >= 0");
+    if (scanner.batchSize < 1)
         return fail("scanner.batch must be >= 1");
-    if (spec.scanner.tickInterval <= 0)
+    if (scanner.tickInterval <= 0)
         return fail("scanner.interval must be > 0");
-    if (spec.scanner.riskMargin < 0)
+    if (scanner.riskMargin < 0)
         return fail("scanner.risk_margin must be >= 0");
-    if (spec.scanner.queue.maxTotalJobs < 1 ||
-        spec.scanner.queue.maxNodeJobs < 1)
+    if (scanner.queue.maxTotalJobs < 1 || scanner.queue.maxNodeJobs < 1)
         return fail("scanner job limits must be >= 1");
-    if (spec.scanner.enabled) {
-        if (spec.algorithm == Algorithm::kNone)
+    if (chaosRate < 0)
+        return fail("chaos.rate must be >= 0");
+    if (bitrotRate < 0)
+        return fail("chaos.bitrot_rate must be >= 0");
+    if (scrub.rate <= 0)
+        return fail("scrub.rate must be > 0");
+    if (scrub.tickInterval <= 0)
+        return fail("scrub.interval must be > 0");
+    if (scrub.adaptiveFloor <= 0 || scrub.adaptiveFloor > 1)
+        return fail("scrub.adaptive_floor must be in (0, 1]");
+    if (scrub.maxInFlight < 1)
+        return fail("scrub.max_in_flight must be >= 1");
+    if (scrub.riskMargin < 0)
+        return fail("scrub.risk_margin must be >= 0");
+    if (degraded.hedgeMultiplier < 1.0)
+        return fail("degraded.hedge_multiplier must be >= 1");
+    if (degraded.hedgeMinDelay < 0)
+        return fail("degraded.hedge_min_delay must be >= 0");
+    if (degraded.maxHedges < 0)
+        return fail("degraded.max_hedges must be >= 0");
+    if (degraded.maxInFlight < 1)
+        return fail("degraded.max_in_flight must be >= 1");
+    if (warmup < 0 || simTimeCap <= 0)
+        return fail("warmup must be >= 0 and sim_time_cap > 0");
+
+    // Cross-field constraints.
+    if (topology.kind != dag::RepairTopology::kAuto &&
+        !isSessionAlgorithm(algorithm))
+        return fail("topology '" + dag::topologyKey(topology) +
+                    "' only applies to session algorithms "
+                    "(cr|ppr|ecpipe|rb-*); '" +
+                    algorithmKey(algorithm) +
+                    "' owns its own plan shapes");
+    if (scanner.enabled) {
+        if (algorithm == Algorithm::kNone)
             return fail("scanner.enabled needs a repair algorithm "
                         "(the scanner has nowhere to dispatch)");
-        for (const StragglerEvent &ev : spec.stragglers)
+        for (const StragglerEvent &ev : stragglers)
             if (ev.node == kInvalidNode)
                 return fail("scanner path cannot auto-pick a "
                             "straggler node; set node=N");
     }
-    if (spec.failedNodes < 1 ||
-        spec.failedNodes > spec.cluster.numNodes)
-        return fail("failed_nodes must be in [1, cluster.nodes]");
-    if (spec.chaosRate < 0)
-        return fail("chaos.rate must be >= 0");
-    if (spec.bitrotRate < 0)
-        return fail("chaos.bitrot_rate must be >= 0");
-    if (spec.scrub.rate <= 0)
-        return fail("scrub.rate must be > 0");
-    if (spec.scrub.tickInterval <= 0)
-        return fail("scrub.interval must be > 0");
-    if (spec.scrub.adaptiveFloor <= 0 || spec.scrub.adaptiveFloor > 1)
-        return fail("scrub.adaptive_floor must be in (0, 1]");
-    if (spec.scrub.maxInFlight < 1)
-        return fail("scrub.max_in_flight must be >= 1");
-    if (spec.scrub.riskMargin < 0)
-        return fail("scrub.risk_margin must be >= 0");
-    if (spec.scrub.enabled && spec.algorithm == Algorithm::kNone)
+    if (scrub.enabled && algorithm == Algorithm::kNone)
         return fail("scrub.enabled needs a repair algorithm "
                     "(detected corruption has nowhere to go)");
-    if (spec.degraded.hedgeMultiplier < 1.0)
-        return fail("degraded.hedge_multiplier must be >= 1");
-    if (spec.degraded.hedgeMinDelay < 0)
-        return fail("degraded.hedge_min_delay must be >= 0");
-    if (spec.degraded.maxHedges < 0)
-        return fail("degraded.max_hedges must be >= 0");
-    if (spec.degraded.maxInFlight < 1)
-        return fail("degraded.max_in_flight must be >= 1");
-    if (spec.degraded.maxRetries < 0)
-        return fail("degraded.max_retries must be >= 0");
-    if (spec.degraded.retryBackoff < 0)
-        return fail("degraded.retry_backoff must be >= 0");
-    if (spec.degraded.enabled) {
-        if (!isSessionAlgorithm(spec.algorithm))
+    if (degraded.enabled) {
+        if (!isSessionAlgorithm(algorithm))
             return fail("degraded.enabled only applies to session "
                         "algorithms (cr|ppr|ecpipe|rb-*); '" +
-                        algorithmKey(spec.algorithm) +
+                        algorithmKey(algorithm) +
                         "' owns its own plans");
-        if (spec.scanner.enabled)
-            return fail("degraded.enabled is incompatible with "
-                        "scanner.enabled (degraded reads are driven "
-                        "by an eager work list)");
-        if (spec.scrub.enabled)
-            return fail("degraded.enabled is incompatible with "
-                        "scrub.enabled (degraded reads do not route "
-                        "scrub repairs)");
-        if (spec.topology.kind != dag::RepairTopology::kAuto)
+        if (topology.kind != dag::RepairTopology::kAuto)
             return fail("degraded.enabled is incompatible with a "
                         "topology override (attempts are direct star "
                         "reconstructions)");
     }
-    if (spec.warmup < 0 || spec.simTimeCap <= 0)
-        return fail("warmup must be >= 0 and sim_time_cap > 0");
-    return spec;
+    return true;
 }
 
 std::string
@@ -766,14 +764,11 @@ ScenarioSpec::toJson() const
        << ", \"retuning\": "
        << (chameleon.enableRetuning ? "true" : "false")
        << ", \"priority\": \"" << priorityKey(chameleon.priority)
-       << "\", \"max_retries\": " << chameleon.maxRetries
-       << ", \"retry_backoff\": "
-       << formatDouble(chameleon.retryBackoff) << "},\n";
+       << "\"},\n";
     os << "  \"session\": {\"max_in_flight\": "
-       << session.maxInFlight
-       << ", \"max_retries\": " << session.maxRetries
-       << ", \"retry_backoff\": "
-       << formatDouble(session.retryBackoff) << "},\n";
+       << session.maxInFlight << "},\n";
+    os << "  \"retry\": {\"max_retries\": " << retry.maxRetries
+       << ", \"backoff\": " << formatDouble(retry.backoff) << "},\n";
     os << "  \"topology\": ";
     writeString(os, dag::topologyKey(topology));
     os << ",\n";
@@ -808,10 +803,7 @@ ScenarioSpec::toJson() const
        << ", \"hedge_min_delay\": "
        << formatDouble(degraded.hedgeMinDelay)
        << ", \"max_hedges\": " << degraded.maxHedges
-       << ", \"max_in_flight\": " << degraded.maxInFlight
-       << ", \"max_retries\": " << degraded.maxRetries
-       << ", \"retry_backoff\": "
-       << formatDouble(degraded.retryBackoff) << "},\n";
+       << ", \"max_in_flight\": " << degraded.maxInFlight << "},\n";
     os << "  \"scanner\": {\"enabled\": "
        << (scanner.enabled ? "true" : "false")
        << ", \"batch\": " << scanner.batchSize
@@ -846,6 +838,7 @@ ScenarioSpec::toConfig() const
     cfg.warmup = warmup;
     cfg.chameleon = chameleon;
     cfg.session = session;
+    cfg.retry = retry;
     cfg.topology = topology;
     cfg.stragglers = stragglers;
     cfg.faults = faults;

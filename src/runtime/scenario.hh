@@ -9,7 +9,9 @@
  *
  * fromJson() rejects malformed input with a diagnostic instead of
  * panicking, so scenario files are safe to feed from the command
- * line; toJson() round-trips (parse(toJson(s)) == s) with full
+ * line; validate() holds the range and cross-field checks, which
+ * fromJson() and the CLI (after applying its flags) both run.
+ * toJson() round-trips (parse(toJson(s)) == s) with full
  * double precision. Fault schedules use src/fault's spec grammar
  * ("crash@30:node=3:dur=40"); stragglers use the analogous grammar
  * documented at parseStragglers().
@@ -51,8 +53,11 @@ struct ScenarioSpec
     SimTime warmup = 16.0;
     repair::ChameleonConfig chameleon;
     repair::SessionConfig session;
+    /** Crash-retry policy of every repair driver (the "retry"
+     * block). */
+    repair::RetryConfig retry;
     /** Execution-topology override ("auto"|"star"|"chain"|"ppr"|
-     * "mlf:F"); only meaningful for session algorithms — fromJson
+     * "mlf:F"); only meaningful for session algorithms — validate()
      * rejects non-auto values for the Chameleon family and kNone. */
     dag::TopologySpec topology;
     std::vector<StragglerEvent> stragglers;
@@ -71,9 +76,9 @@ struct ScenarioSpec
     cluster::ScrubConfig scrub;
     /** Hedged degraded-read policy (the "degraded" JSON block);
      * degraded.enabled routes repairs through the hedged-read
-     * manager — session algorithms only, rejected for the Chameleon
-     * family and kNone, and incompatible with scanner/scrub/topology
-     * overrides (fromJson enforces all of it). */
+     * manager — session algorithms only, and no topology override,
+     * since hedged attempts are stars (validate() enforces both).
+     * Scanner discovery and scrubbing apply as to any driver. */
     traffic::HedgedReadConfig degraded;
     uint64_t seed = 1;
     SimTime simTimeCap = 100000.0;
@@ -86,12 +91,20 @@ struct ScenarioSpec
 
     /**
      * Parses one scenario object. Unknown keys, bad algorithm/code/
-     * trace names, malformed schedules, and out-of-range dimensions
-     * are all rejected.
+     * trace names and malformed schedules are rejected, and so is
+     * anything validate() rejects.
      * @param error receives a description on failure when non-null.
      */
     static std::optional<ScenarioSpec>
     fromJson(const std::string &text, std::string *error = nullptr);
+
+    /**
+     * Range and cross-field checks: out-of-range dimensions and
+     * knobs, and combinations no run can honor. The diagnostic names
+     * the offending field.
+     * @param error receives a description on failure when non-null.
+     */
+    bool validate(std::string *error = nullptr) const;
 
     /** Serializes with enough precision to round-trip exactly.
      * (Seeds above 2^53 lose precision — JSON numbers are doubles.) */

@@ -9,84 +9,17 @@ namespace chameleon {
 namespace traffic {
 
 HedgedReadManager::HedgedReadManager(
-    cluster::StripeManager &stripes, repair::RepairExecutor &executor,
-    const repair::BandwidthMonitor &monitor, HedgedReadConfig config)
-    : stripes_(stripes), executor_(executor), monitor_(monitor),
-      config_(config)
+    cluster::StripeTable &stripes, repair::RepairExecutor &executor,
+    const repair::BandwidthMonitor &monitor, HedgedReadConfig config,
+    repair::RetryConfig retry)
+    : RepairDriver(stripes, executor, retry, "degraded"),
+      monitor_(monitor), config_(config)
 {
     CHAMELEON_ASSERT(config_.maxInFlight >= 1,
                      "window must be at least 1");
     CHAMELEON_ASSERT(config_.hedgeMultiplier >= 1.0,
                      "hedge multiplier below the estimate itself");
     CHAMELEON_ASSERT(config_.maxHedges >= 0, "negative hedge budget");
-    CHAMELEON_ASSERT(config_.maxRetries >= 0, "negative retry budget");
-}
-
-sim::Simulator &
-HedgedReadManager::simulator() const
-{
-    return executor_.cluster().simulator();
-}
-
-void
-HedgedReadManager::start(std::vector<cluster::FailedChunk> pending)
-{
-    CHAMELEON_ASSERT(!started_, "manager already started");
-    started_ = true;
-    pending_.assign(pending.begin(), pending.end());
-    totalChunks_ = static_cast<int>(pending_.size());
-    startTime_ = simulator().now();
-    if (pending_.empty()) {
-        finishTime_ = startTime_;
-        return;
-    }
-    pump();
-}
-
-bool
-HedgedReadManager::finished() const
-{
-    return started_ &&
-           chunksRepaired_ + chunksUnrecoverable() == totalChunks_;
-}
-
-void
-HedgedReadManager::markUnrecoverable(const cluster::FailedChunk &fc)
-{
-    unrecoverable_.push_back(fc);
-    CHAMELEON_TELEM(telemetry::tracer().instant(
-        simulator().now(), telemetry::kTrackFault, "fault",
-        "unrecoverable",
-        {{"stripe", fc.stripe}, {"chunk", fc.chunk}}));
-    telemetry::metrics().counter("degraded.unrecoverable").add();
-}
-
-void
-HedgedReadManager::releaseReservation(StripeId stripe,
-                                      NodeId destination)
-{
-    auto it = reserved_.find(stripe);
-    if (it == reserved_.end())
-        return;
-    it->second.erase(destination);
-    if (it->second.empty())
-        reserved_.erase(it);
-}
-
-void
-HedgedReadManager::requeueDeferred()
-{
-    while (!deferred_.empty()) {
-        pending_.push_back(deferred_.front());
-        deferred_.pop_front();
-    }
-}
-
-void
-HedgedReadManager::checkFinished(SimTime when)
-{
-    if (finished())
-        finishTime_ = when;
 }
 
 void
@@ -98,36 +31,16 @@ HedgedReadManager::pump()
         pending_.pop_front();
         issueRead(fc);
     }
-    checkFinished(simulator().now());
+    settle(simulator().now());
 }
 
 void
 HedgedReadManager::issueRead(const cluster::FailedChunk &fc)
 {
-    // Recoverability gate (same as RepairSession): fewer surviving
-    // helpers than the code needs means no attempt can exist.
-    auto avail = stripes_.availableChunks(fc.stripe);
-    auto pool = stripes_.code().helperPool(fc.chunk, avail);
-    if (static_cast<int>(pool.candidates.size()) < pool.required) {
-        markUnrecoverable(fc);
+    // Sibling reads of this stripe may hold every candidate
+    // destination; passGate() parks the read until one completes.
+    if (!passGate(fc))
         return;
-    }
-    // Destination gate: sibling reads of this stripe may hold every
-    // candidate destination; park the read until one completes.
-    auto dests = stripes_.candidateDestinations(fc.stripe);
-    auto res = reserved_.find(fc.stripe);
-    if (res != reserved_.end()) {
-        std::erase_if(dests, [&](NodeId d) {
-            return res->second.count(d) != 0;
-        });
-    }
-    if (dests.empty()) {
-        if (res == reserved_.end())
-            markUnrecoverable(fc);
-        else
-            deferred_.push_back(fc);
-        return;
-    }
 
     Key key{fc.stripe, fc.chunk};
     auto [it, inserted] = active_.try_emplace(key);
@@ -138,8 +51,7 @@ HedgedReadManager::issueRead(const cluster::FailedChunk &fc)
     read.issued = simulator().now();
     read.primary = launchAttempt(fc, kInvalidNode, kInvalidNode);
     if (read.primary.id == repair::kInvalidRepair) {
-        active_.erase(it);
-        markUnrecoverable(fc);
+        giveUp(it, simulator().now());
         return;
     }
     if (config_.hedge && read.hedges < config_.maxHedges)
@@ -194,12 +106,8 @@ HedgedReadManager::launchAttempt(const cluster::FailedChunk &fc,
 
     // Destination: best estimated ingest service among candidates
     // not already claimed by a racing attempt.
-    auto dests = stripes_.candidateDestinations(fc.stripe);
-    auto res = reserved_.find(fc.stripe);
-    std::erase_if(dests, [&](NodeId d) {
-        return d == avoid_dest ||
-               (res != reserved_.end() && res->second.count(d) != 0);
-    });
+    auto dests = freeDestinations(fc.stripe);
+    std::erase(dests, avoid_dest);
     if (dests.empty())
         return {};
     NodeId dest = dests.front();
@@ -223,14 +131,15 @@ HedgedReadManager::launchAttempt(const cluster::FailedChunk &fc,
 
     Attempt attempt;
     attempt.destination = dest;
-    reserved_[fc.stripe].insert(dest);
+    reserve(fc.stripe, dest);
     attempt.id = executor_.launch(
         plan,
         [this](const repair::ChunkRepairPlan &p, SimTime t) {
             onAttemptDone(p, t);
         },
-        [this](const repair::ChunkRepairPlan &p, NodeId cause,
-               SimTime t) { onAttemptFailed(p, cause, t); });
+        [this](const repair::ChunkRepairPlan &p, NodeId, SimTime t) {
+            onAttemptFailed(p, t);
+        });
     return attempt;
 }
 
@@ -338,27 +247,25 @@ HedgedReadManager::onAttemptDone(const repair::ChunkRepairPlan &plan,
         executor_.cancel(loser.id);
         releaseReservation(plan.stripe, loser.destination);
     }
-    releaseReservation(plan.stripe, plan.destination);
-    stripes_.markRepaired(plan.stripe, plan.failedChunk);
-    stripes_.relocate(plan.stripe, plan.failedChunk, plan.destination);
-    ++chunksRepaired_;
     if (hedge_won) {
         ++hedgeWins_;
         telemetry::metrics().counter("degraded.hedge_wins").add();
     }
     latencies_.record(when - read.issued);
     active_.erase(it);
-    if (finished()) {
-        finishTime_ = when;
+    // Each read owns its retry budget: a later loss of the same
+    // chunk is a new read.
+    retries_.erase(key);
+    completeRepair(plan);
+    if (settle(when))
         return;
-    }
     requeueDeferred();
     pump();
 }
 
 void
 HedgedReadManager::onAttemptFailed(const repair::ChunkRepairPlan &plan,
-                                   NodeId cause, SimTime when)
+                                   SimTime when)
 {
     Key key{plan.stripe, plan.failedChunk};
     auto it = active_.find(key);
@@ -382,15 +289,9 @@ HedgedReadManager::onAttemptFailed(const repair::ChunkRepairPlan &plan,
         read.hedge.id != repair::kInvalidRepair)
         return;
 
-    ++crashReplans_;
-    telemetry::metrics().counter("degraded.crash_replans").add();
     ++read.generation; // kill stale hedge timers
-    ++read.retries;
-    if (read.retries > config_.maxRetries) {
-        cluster::FailedChunk fc = read.chunk;
-        active_.erase(it);
-        markUnrecoverable(fc);
-        checkFinished(when);
+    if (!spendRetry(read.chunk)) {
+        giveUp(it, when);
         return;
     }
     // Re-issue after a backoff so the burst of aborts from one crash
@@ -398,7 +299,7 @@ HedgedReadManager::onAttemptFailed(const repair::ChunkRepairPlan &plan,
     // stays in active_ (window-held) with its original issue time,
     // so its eventual latency includes the crash detour.
     uint64_t gen = read.generation;
-    simulator().scheduleAfter(config_.retryBackoff, [this, key, gen] {
+    simulator().scheduleAfter(retry_.backoff, [this, key, gen] {
         auto entry = active_.find(key);
         if (entry == active_.end() ||
             entry->second.generation != gen)
@@ -407,34 +308,24 @@ HedgedReadManager::onAttemptFailed(const repair::ChunkRepairPlan &plan,
         retry.primary =
             launchAttempt(retry.chunk, kInvalidNode, kInvalidNode);
         if (retry.primary.id == repair::kInvalidRepair) {
-            cluster::FailedChunk fc = retry.chunk;
-            active_.erase(entry);
-            markUnrecoverable(fc);
-            checkFinished(simulator().now());
+            giveUp(entry, simulator().now());
             return;
         }
         if (config_.hedge && retry.hedges < config_.maxHedges)
             armTimer(retry, estimateCompletion(
                                 executor_.plan(retry.primary.id)));
     });
-    (void)cause;
 }
 
 void
-HedgedReadManager::onNodeCrash(
-    NodeId node, const std::vector<cluster::FailedChunk> &newly_lost)
+HedgedReadManager::giveUp(std::map<Key, Read>::iterator it,
+                          SimTime when)
 {
-    CHAMELEON_ASSERT(started_, "crash before manager start");
-    // Abort doomed in-flight attempts first; each abort lands in
-    // onAttemptFailed, which re-plans or lets a surviving sibling
-    // attempt race on.
-    executor_.abortChunksTouching(node);
-    for (const auto &fc : newly_lost) {
-        pending_.push_back(fc);
-        ++totalChunks_;
-    }
-    requeueDeferred();
-    pump();
+    const cluster::FailedChunk fc = it->second.chunk;
+    retries_.erase(it->first);
+    active_.erase(it);
+    markUnrecoverable(fc);
+    settle(when);
 }
 
 } // namespace traffic

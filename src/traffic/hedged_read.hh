@@ -20,21 +20,20 @@
  *      RepairExecutor::cancel() — a scheduling decision, not a
  *      failure, so no abort metric or failure callback fires.
  *
- * The manager mirrors RepairSession's lifecycle surface (start /
- * onNodeCrash / finished / counters) so the runtime can swap it in
- * as the repair layer for degraded-read experiments; the scenario
- * knobs live under "degraded" (see runtime/scenario.hh).
+ * The manager is a repair::RepairDriver like the session and the
+ * ChameleonEC scheduler: work enters through enqueue() (the eager
+ * work list, the replicator scanner, scrub detections), accounting,
+ * reservations and crash retries live in the base, and the outcome
+ * hook fires once per read. The scenario knobs live under
+ * "degraded" (see runtime/scenario.hh).
  */
 
 #ifndef CHAMELEON_TRAFFIC_HEDGED_READ_HH_
 #define CHAMELEON_TRAFFIC_HEDGED_READ_HH_
 
-#include <deque>
 #include <map>
-#include <set>
 
-#include "cluster/stripe_manager.hh"
-#include "repair/executor.hh"
+#include "repair/driver.hh"
 #include "repair/monitor.hh"
 #include "util/stats.hh"
 
@@ -58,47 +57,19 @@ struct HedgedReadConfig
     int maxHedges = 1;
     /** Concurrent degraded reads in flight. */
     int maxInFlight = 32;
-    /** Crash-abort re-plans per read before giving up. */
-    int maxRetries = 5;
-    /** Delay before a crash-aborted read is re-issued. */
-    SimTime retryBackoff = 1.0;
 
     bool operator==(const HedgedReadConfig &) const = default;
 };
 
 /** Windowed hedged degraded-read runner; see file comment. */
-class HedgedReadManager
+class HedgedReadManager : public repair::RepairDriver
 {
   public:
-    HedgedReadManager(cluster::StripeManager &stripes,
+    HedgedReadManager(cluster::StripeTable &stripes,
                       repair::RepairExecutor &executor,
                       const repair::BandwidthMonitor &monitor,
-                      HedgedReadConfig config);
-
-    /** Begins reading `pending` (FIFO order). */
-    void start(std::vector<cluster::FailedChunk> pending);
-
-    /**
-     * Absorbs a mid-run node crash (same contract as
-     * RepairSession::onNodeCrash): aborts attempts touching the dead
-     * node and queues the chunks it destroyed.
-     */
-    void onNodeCrash(NodeId node,
-                     const std::vector<cluster::FailedChunk>
-                         &newly_lost);
-
-    /** True once every read completed or became unrecoverable. */
-    bool finished() const;
-
-    SimTime startTime() const { return startTime_; }
-    SimTime finishTime() const { return finishTime_; }
-
-    int chunksRepaired() const { return chunksRepaired_; }
-    int chunksUnrecoverable() const
-    {
-        return static_cast<int>(unrecoverable_.size());
-    }
-    int crashReplans() const { return crashReplans_; }
+                      HedgedReadConfig config,
+                      repair::RetryConfig retry = {});
 
     /** Hedged attempts launched / won against their primary. */
     int hedgesIssued() const { return hedgesIssued_; }
@@ -122,7 +93,6 @@ class HedgedReadManager
         Attempt primary;
         Attempt hedge;
         int hedges = 0;
-        int retries = 0;
         /** Invalidates in-flight timer callbacks after completion,
          * hedging, or re-planning. */
         uint64_t generation = 0;
@@ -131,7 +101,7 @@ class HedgedReadManager
 
     using Key = std::pair<StripeId, ChunkIndex>;
 
-    sim::Simulator &simulator() const;
+    void admit() override { pump(); }
     void pump();
     void issueRead(const cluster::FailedChunk &fc);
     /**
@@ -150,35 +120,19 @@ class HedgedReadManager
     void onAttemptDone(const repair::ChunkRepairPlan &plan,
                        SimTime when);
     void onAttemptFailed(const repair::ChunkRepairPlan &plan,
-                         NodeId cause, SimTime when);
-    void markUnrecoverable(const cluster::FailedChunk &fc);
-    void releaseReservation(StripeId stripe, NodeId destination);
-    void requeueDeferred();
-    void checkFinished(SimTime when);
+                         SimTime when);
+    /** Ends the read at `it` as unrecoverable. */
+    void giveUp(std::map<Key, Read>::iterator it, SimTime when);
 
-    cluster::StripeManager &stripes_;
-    repair::RepairExecutor &executor_;
     const repair::BandwidthMonitor &monitor_;
     HedgedReadConfig config_;
-    std::deque<cluster::FailedChunk> pending_;
-    /** Reads parked because concurrent attempts on the same stripe
-     * hold every candidate destination. */
-    std::deque<cluster::FailedChunk> deferred_;
+    /** In-flight reads; a read's primary and hedge (and concurrent
+     * reads of sibling chunks) hold distinct destination
+     * reservations. */
     std::map<Key, Read> active_;
-    /** Destinations held by in-flight attempts, per stripe — a
-     * read's primary and hedge (and concurrent reads of sibling
-     * chunks) must land on distinct nodes. */
-    std::map<StripeId, std::set<NodeId>> reserved_;
-    std::vector<cluster::FailedChunk> unrecoverable_;
-    int chunksRepaired_ = 0;
-    int totalChunks_ = 0;
-    int crashReplans_ = 0;
     int hedgesIssued_ = 0;
     int hedgeWins_ = 0;
     LatencyRecorder latencies_;
-    SimTime startTime_ = 0.0;
-    SimTime finishTime_ = kTimeNever;
-    bool started_ = false;
 };
 
 } // namespace traffic

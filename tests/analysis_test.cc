@@ -8,13 +8,15 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/experiment.hh"
 #include "analysis/reliability.hh"
 #include "ec/factory.hh"
+#include "runtime/experiment.hh"
 
 namespace chameleon {
 namespace analysis {
 namespace {
+
+using namespace runtime;
 
 TEST(Reliability, FailureProbabilityShape)
 {

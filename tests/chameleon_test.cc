@@ -9,7 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.hh"
-#include "cluster/stripe_manager.hh"
+#include "cluster/stripe_table.hh"
 #include "ec/factory.hh"
 #include "repair/chameleon_scheduler.hh"
 #include "repair/executor.hh"
@@ -57,7 +57,7 @@ struct Rig
 
     sim::Simulator sim;
     cluster::Cluster cluster;
-    cluster::StripeManager stripesMgr;
+    cluster::StripeTable stripesMgr;
     RepairExecutor executor;
     BandwidthMonitor monitor;
 };
@@ -70,7 +70,7 @@ TEST(Chameleon, FullNodeRepairCompletes)
     ChameleonConfig cfg;
     cfg.tPhase = 5.0;
     auto sched = rig.makeScheduler(cfg);
-    sched.start(lost);
+    sched.enqueue(lost);
     rig.sim.run(600.0);
     ASSERT_TRUE(sched.finished());
     EXPECT_EQ(sched.chunksRepaired(), static_cast<int>(lost.size()));
@@ -85,7 +85,7 @@ TEST(Chameleon, EmptyPendingFinishesImmediately)
 {
     Rig rig(ec::makeRs(4, 2));
     auto sched = rig.makeScheduler();
-    sched.start({});
+    sched.enqueue({});
     EXPECT_TRUE(sched.finished());
     EXPECT_EQ(sched.chunksRepaired(), 0);
 }
@@ -98,7 +98,7 @@ TEST(Chameleon, PhasesPaceAdmission)
     ChameleonConfig cfg;
     cfg.tPhase = 4.0;
     auto sched = rig.makeScheduler(cfg);
-    sched.start(lost);
+    sched.enqueue(lost);
     rig.sim.run(3000.0);
     ASSERT_TRUE(sched.finished());
     // With a starved network, estimates exceed the phase budget and
@@ -120,7 +120,7 @@ TEST(Chameleon, AvoidsForegroundLoadedDestination)
     ChameleonConfig cfg;
     cfg.tPhase = 5.0;
     auto sched = rig.makeScheduler(cfg);
-    sched.start(lost);
+    sched.enqueue(lost);
     rig.sim.run(600.0);
     ASSERT_TRUE(sched.finished());
     // Node 10 may appear as a destination only if no alternative
@@ -140,7 +140,7 @@ TEST(Chameleon, StragglerTriggersRetuning)
     cfg.checkPeriod = 0.5;
     cfg.stragglerSlack = 0.5;
     auto sched = rig.makeScheduler(cfg);
-    sched.start(lost);
+    sched.enqueue(lost);
     // Throttle a busy node's uplink shortly after repair starts.
     rig.sim.schedule(1.0, [&] {
         for (NodeId n = 1; n < 6; ++n)
@@ -168,7 +168,7 @@ TEST(Chameleon, AblationSwitchesSuppressSar)
     cfg.checkPeriod = 0.5;
     cfg.stragglerSlack = 0.5;
     auto sched = rig.makeScheduler(cfg);
-    sched.start(lost);
+    sched.enqueue(lost);
     rig.sim.schedule(1.0, [&] {
         rig.cluster.network().setCapacity(rig.cluster.uplink(2), 0.5);
     });
@@ -194,7 +194,7 @@ TEST(Chameleon, MultiNodeFailureAllPriorities)
         cfg.tPhase = 5.0;
         cfg.priority = priority;
         auto sched = rig.makeScheduler(cfg);
-        sched.start(lost);
+        sched.enqueue(lost);
         rig.sim.run(2000.0);
         ASSERT_TRUE(sched.finished());
         EXPECT_TRUE(rig.stripesMgr.lostChunks().empty());
@@ -209,7 +209,7 @@ TEST(Chameleon, WorksWithLrc)
     ChameleonConfig cfg;
     cfg.tPhase = 5.0;
     auto sched = rig.makeScheduler(cfg);
-    sched.start(lost);
+    sched.enqueue(lost);
     rig.sim.run(1000.0);
     ASSERT_TRUE(sched.finished());
     EXPECT_TRUE(rig.stripesMgr.lostChunks().empty());
@@ -223,7 +223,7 @@ TEST(Chameleon, WorksWithButterfly)
     ChameleonConfig cfg;
     cfg.tPhase = 5.0;
     auto sched = rig.makeScheduler(cfg);
-    sched.start(lost);
+    sched.enqueue(lost);
     rig.sim.run(1000.0);
     ASSERT_TRUE(sched.finished());
     EXPECT_TRUE(rig.stripesMgr.lostChunks().empty());
@@ -236,7 +236,7 @@ TEST(Chameleon, DegradedReadSingleChunk)
     ChameleonConfig cfg;
     cfg.tPhase = 5.0;
     auto sched = rig.makeScheduler(cfg);
-    sched.start({{0, 1}});
+    sched.enqueue({{0, 1}});
     rig.sim.run(200.0);
     ASSERT_TRUE(sched.finished());
     EXPECT_FALSE(rig.stripesMgr.chunkLost(0, 1));
@@ -256,7 +256,7 @@ TEST(Chameleon, ReorderingWakesPostponedChunk)
     cfg.stragglerSlack = 0.5;
     cfg.tPhase = 15.0;
     auto sched = rig.makeScheduler(cfg);
-    sched.start(lost);
+    sched.enqueue(lost);
     rig.sim.schedule(1.0, [&] {
         rig.cluster.network().setCapacity(rig.cluster.uplink(3), 0.2);
     });

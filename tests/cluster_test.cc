@@ -11,7 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.hh"
-#include "cluster/stripe_manager.hh"
+#include "cluster/stripe_table.hh"
 #include "ec/factory.hh"
 #include "repair/executor.hh"
 #include "repair/session.hh"
@@ -111,7 +111,7 @@ class StripeManagerTest : public ::testing::Test
         mgr_.createStripes(50, rng);
     }
 
-    StripeManager mgr_;
+    StripeTable mgr_;
 };
 
 TEST_F(StripeManagerTest, PlacementIsOneChunkPerNode)
@@ -247,7 +247,7 @@ TEST_F(StripeManagerTest, ChunksOnNodeConsistent)
 
 TEST(StripeManager, RejectsTooSmallCluster)
 {
-    EXPECT_DEATH(StripeManager(ec::makeRs(10, 4), 10),
+    EXPECT_DEATH(StripeTable(ec::makeRs(10, 4), 10),
                  "cannot host");
 }
 
@@ -356,7 +356,7 @@ TEST(RackTopology, RepairCompletesOnRackedCluster)
     cfg.rackOversubscription = 2.0;
     Cluster c(sim, cfg);
     auto code = ec::makeRs(4, 2);
-    StripeManager stripes(code, 12);
+    StripeTable stripes(code, 12);
     Rng rng(7);
     stripes.createStripes(5, rng);
     repair::RepairExecutor exec(c,
@@ -371,7 +371,7 @@ TEST(RackTopology, RepairCompletesOnRackedCluster)
             return repair::makeBaselinePlan(
                 stripes, fc, repair::Topology::kStar, reserved, prng);
         });
-    session.start(lost);
+    session.enqueue(lost);
     sim.run(2000.0);
     EXPECT_TRUE(session.finished());
 }

@@ -16,7 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.hh"
-#include "cluster/stripe_manager.hh"
+#include "cluster/stripe_table.hh"
 #include "dag/dag.hh"
 #include "ec/factory.hh"
 #include "repair/chameleon_planner.hh"
@@ -53,7 +53,7 @@ randomStripe(Rng &rng, const ec::ErasureCode &code, std::size_t size)
 }
 
 std::vector<repair::PlanSource>
-sourcesFor(const cluster::StripeManager &stripes,
+sourcesFor(const cluster::StripeTable &stripes,
            const ec::RepairSpec &spec, StripeId stripe)
 {
     std::vector<repair::PlanSource> out;
@@ -167,7 +167,7 @@ TEST(DagStructure, TopologyKeyRoundTrips)
 TEST(DagEquivalence, LoweredTreesMatchEvaluatePlanRs)
 {
     auto code = ec::makeRs(6, 3);
-    cluster::StripeManager stripes(code, 12);
+    cluster::StripeTable stripes(code, 12);
     Rng rng(7);
     stripes.createStripes(1, rng);
     auto chunks = randomStripe(rng, *code, 128);
@@ -214,7 +214,7 @@ TEST(DagEquivalence, LoweredTreesMatchEvaluatePlanRs)
 TEST(DagEquivalence, LoweredTreeMatchesEvaluatePlanLrc)
 {
     auto code = ec::makeLrc(8, 2, 2);
-    cluster::StripeManager stripes(code, 14);
+    cluster::StripeTable stripes(code, 14);
     Rng rng(9);
     stripes.createStripes(1, rng);
     auto chunks = randomStripe(rng, *code, 64);
@@ -379,7 +379,7 @@ TEST(DagEquivalence, ButterflyLowersToDirectStar)
     // no internal combine vertices — every leaf feeds the root
     // directly, fractions preserved.
     auto code = ec::makeButterfly();
-    cluster::StripeManager stripes(code, 8);
+    cluster::StripeTable stripes(code, 8);
     Rng rng(13);
     stripes.createStripes(1, rng);
 
@@ -600,7 +600,7 @@ class DagChurnRig
     cluster::ClusterConfig cfg_;
     cluster::Cluster cluster_;
     std::shared_ptr<const ec::ErasureCode> code_;
-    cluster::StripeManager stripes_;
+    cluster::StripeTable stripes_;
     repair::RepairExecutor executor_;
     Rng planRng_;
     std::vector<std::vector<ec::Buffer>> data_;
@@ -613,14 +613,13 @@ TEST(DagChurn, CrashMidSlicedRepairRePlansWithoutLeakingFlows)
 {
     DagChurnRig rig;
     repair::RepairSession session(rig.stripes_, rig.executor_,
-                                  rig.planFn());
-    session.setDagTopology(
-        *dag::topologyFromKey("chain"));
+                                  rig.planFn(), {},
+                                  *dag::topologyFromKey("chain"));
     auto initial = rig.stripes_.failNode(0);
     rig.cluster_.markNodeDown(0);
     rig.queued_.insert(rig.queued_.end(), initial.begin(),
                        initial.end());
-    session.start(initial);
+    session.enqueue(initial);
 
     // Kill a helper of the first launched plan mid-pipeline, then a
     // second node a little later (compounding churn).

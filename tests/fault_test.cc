@@ -16,7 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.hh"
-#include "cluster/stripe_manager.hh"
+#include "cluster/stripe_table.hh"
 #include "ec/factory.hh"
 #include "fault/fault.hh"
 #include "repair/executor.hh"
@@ -179,7 +179,7 @@ class ChurnRig
     cluster::ClusterConfig cfg_;
     cluster::Cluster cluster_;
     std::shared_ptr<const ec::ErasureCode> code_;
-    cluster::StripeManager stripes_;
+    cluster::StripeTable stripes_;
     repair::RepairExecutor executor_;
     Rng planRng_;
     std::vector<std::vector<ec::Buffer>> data_;
@@ -262,7 +262,7 @@ TEST(FaultScenario, CrashOfSourceMidRepair)
     repair::RepairSession session(rig.stripes_, rig.executor_,
                                   rig.planFn());
     auto initial = rig.failInitial(0);
-    session.start(initial);
+    session.enqueue(initial);
 
     // 1 s in, every first-wave star transfer (~2.6 s) is still in
     // flight; kill a node the first plan reads from.
@@ -289,7 +289,7 @@ TEST(FaultScenario, CrashOfDestinationInvalidatesItsWrites)
         telemetry::metrics().counter("repair.exec.aborts");
     int64_t aborts_before = aborts.value;
 
-    session.start(rig.failInitial(0));
+    session.enqueue(rig.failInitial(0));
     cluster::FailedChunk first{kInvalidNode, 0};
     NodeId victim = kInvalidNode;
     rig.sim_.scheduleAfter(1.0, [&] {
@@ -339,7 +339,7 @@ TEST(FaultScenario, FlappingLinkRepairStillCompletes)
     fault::FaultInjector injector(rig.cluster_, rig.stripes_);
     injector.arm(sched, Rng(1));
 
-    session.start(pending);
+    session.enqueue(pending);
     rig.sim_.run();
 
     EXPECT_EQ(injector.faultsInjected(), 4);
@@ -361,7 +361,7 @@ TEST(FaultScenario, StripeShortOfHelpersReportsUnrecoverable)
     StripeId victim_stripe = 0;
     NodeId first = rig.stripes_.location(victim_stripe, 0);
     auto pending = rig.failInitial(first);
-    session.start(pending);
+    session.enqueue(pending);
 
     rig.sim_.scheduleAfter(0.5, [&] {
         auto avail = rig.stripes_.availableChunks(victim_stripe);
@@ -420,7 +420,7 @@ TEST(FaultScenario, CrashedNodeRejoinsEmptyAndAlive)
     fault::FaultInjector injector(rig.cluster_, rig.stripes_, hooks);
     injector.arm(sched, Rng(1));
 
-    session.start(pending);
+    session.enqueue(pending);
     rig.sim_.run();
 
     EXPECT_TRUE(rejoined);
@@ -480,7 +480,7 @@ runChaosOnce(uint64_t chaos_seed)
 
     auto pending = rig.failInitial(0);
     injector.arm(sched, Rng(chaos_seed + 1));
-    session.start(pending);
+    session.enqueue(pending);
     rig.sim_.run();
 
     rig.verifyOutcome(session);

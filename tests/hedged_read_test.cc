@@ -10,7 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.hh"
-#include "cluster/stripe_manager.hh"
+#include "cluster/stripe_table.hh"
 #include "ec/factory.hh"
 #include "repair/executor.hh"
 #include "repair/monitor.hh"
@@ -88,7 +88,7 @@ class HedgeRig
     cluster::ClusterConfig cfg_;
     cluster::Cluster cluster_;
     std::shared_ptr<const ec::ErasureCode> code_;
-    cluster::StripeManager stripes_;
+    cluster::StripeTable stripes_;
     repair::RepairExecutor executor_;
     repair::BandwidthMonitor monitor_;
     HedgedReadManager manager_;
@@ -97,7 +97,7 @@ class HedgeRig
 TEST(HedgedRead, HealthyClusterCompletesWithoutHedging)
 {
     HedgeRig rig;
-    rig.manager_.start({rig.lose(0, 0), rig.lose(1, 2)});
+    rig.manager_.enqueue({rig.lose(0, 0), rig.lose(1, 2)});
     rig.sim_.run(1000.0);
     EXPECT_TRUE(rig.manager_.finished());
     EXPECT_EQ(rig.manager_.chunksRepaired(), 2);
@@ -120,7 +120,7 @@ TEST(HedgedRead, StragglerTriggersWinningHedge)
     // first helper crawl at 1% so the attempt stalls far past its
     // (capacity-based) estimate.
     rig.throttleUplink(rig.firstHelperNode(0), 1.0);
-    rig.manager_.start({fc});
+    rig.manager_.enqueue({fc});
     rig.sim_.run(2000.0);
     EXPECT_TRUE(rig.manager_.finished());
     EXPECT_EQ(rig.manager_.chunksRepaired(), 1);
@@ -136,7 +136,7 @@ TEST(HedgedRead, LosingAttemptIsCanceledSilently)
     HedgeRig rig;
     auto fc = rig.lose(0, 0);
     rig.throttleUplink(rig.firstHelperNode(0), 1.0);
-    rig.manager_.start({fc});
+    rig.manager_.enqueue({fc});
     rig.sim_.run(2000.0);
     ASSERT_EQ(rig.manager_.hedgeWins(), 1);
     // Cancellation is a scheduling decision, not a failure: no
@@ -156,8 +156,8 @@ TEST(HedgedRead, NoHedgeBaselineRidesOutTheStraggler)
     auto fc_p = plain.lose(0, 0);
     hedged.throttleUplink(hedged.firstHelperNode(0), 1.0);
     plain.throttleUplink(plain.firstHelperNode(0), 1.0);
-    hedged.manager_.start({fc_h});
-    plain.manager_.start({fc_p});
+    hedged.manager_.enqueue({fc_h});
+    plain.manager_.enqueue({fc_p});
     hedged.sim_.run(5000.0);
     plain.sim_.run(5000.0);
     ASSERT_TRUE(hedged.manager_.finished());
@@ -172,7 +172,7 @@ TEST(HedgedRead, HelperCrashReplansAndRecovers)
 {
     HedgeRig rig;
     auto fc = rig.lose(0, 0);
-    rig.manager_.start({fc});
+    rig.manager_.enqueue({fc});
     // Kill the first helper shortly into the transfer; the manager
     // must abort, back off, and re-plan around the dead node — and
     // absorb the crashed node's own chunks as new reads.
@@ -199,7 +199,7 @@ TEST(HedgedRead, ShortStripeIsUnrecoverable)
     auto fc = rig.lose(2, 0);
     rig.lose(2, 1);
     rig.lose(2, 2);
-    rig.manager_.start({fc});
+    rig.manager_.enqueue({fc});
     rig.sim_.run(100.0);
     EXPECT_TRUE(rig.manager_.finished());
     EXPECT_EQ(rig.manager_.chunksRepaired(), 0);

@@ -10,11 +10,11 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/experiment.hh"
 #include "ec/factory.hh"
+#include "runtime/experiment.hh"
 
 namespace chameleon {
-namespace analysis {
+namespace runtime {
 namespace {
 
 ExperimentConfig
@@ -173,5 +173,5 @@ TEST(Timeline, ConservesRepairedBytes)
 }
 
 } // namespace
-} // namespace analysis
+} // namespace runtime
 } // namespace chameleon

@@ -24,7 +24,7 @@
 
 #include "cluster/cluster.hh"
 #include "cluster/scrub_scanner.hh"
-#include "cluster/stripe_manager.hh"
+#include "cluster/stripe_table.hh"
 #include "ec/checksum.hh"
 #include "ec/factory.hh"
 #include "ec/rs_code.hh"
@@ -233,7 +233,7 @@ TEST(IntegrityExecutor, CorruptHelperAbortsAndReplansWithoutIt)
     ccfg.diskBw = 300.0;
     cluster::Cluster cluster(sim, ccfg);
     auto code = ec::makeRs(4, 3);
-    cluster::StripeManager stripes(code, ccfg.numNodes);
+    cluster::StripeTable stripes(code, ccfg.numNodes);
     Rng rng(31);
     stripes.createStripes(4, rng);
     repair::ExecutorConfig ecfg;
@@ -264,7 +264,7 @@ TEST(IntegrityExecutor, CorruptHelperAbortsAndReplansWithoutIt)
             plannedHelpers.push_back(helpers);
             if (corruptChunk < 0) {
                 corruptChunk = plan.sources.front().chunk;
-                stripes.table().markCorrupt(fc.stripe, corruptChunk);
+                stripes.markCorrupt(fc.stripe, corruptChunk);
             }
             return plan;
         });
@@ -278,7 +278,7 @@ TEST(IntegrityExecutor, CorruptHelperAbortsAndReplansWithoutIt)
         ++rejects;
         // Promote to lost and queue the rotted chunk itself (the
         // runtime routes this through ScrubScanner::detect()).
-        stripes.table().markLost(stripe, chunk);
+        stripes.markLost(stripe, chunk);
         const cluster::FailedChunk fc{stripe, chunk};
         sim.scheduleAfter(0.0, [&session, fc] {
             session.enqueue({fc});
@@ -287,7 +287,7 @@ TEST(IntegrityExecutor, CorruptHelperAbortsAndReplansWithoutIt)
     };
     exec.setIntegrityHooks(std::move(ih));
 
-    session.start({lost});
+    session.enqueue({lost});
     sim.run(2000.0);
 
     EXPECT_TRUE(session.finished());
@@ -304,7 +304,7 @@ TEST(IntegrityExecutor, CorruptHelperAbortsAndReplansWithoutIt)
               0);
     // markRepaired cleared the corrupt flag on the rewritten chunk.
     EXPECT_FALSE(stripes.chunkCorrupt(lost.stripe, corruptChunk));
-    EXPECT_EQ(stripes.table().corruptCount(), 0);
+    EXPECT_EQ(stripes.corruptCount(), 0);
 }
 
 // ------------------------------------------- scrub scanner (unit)
@@ -317,7 +317,7 @@ TEST(ScrubScanner, DetectsCorruptionAndClassifiesTier)
     ccfg.numClients = 0;
     cluster::Cluster cluster(sim, ccfg);
     auto code = ec::makeRs(4, 3);
-    cluster::StripeManager stripes(code, ccfg.numNodes);
+    cluster::StripeTable stripes(code, ccfg.numNodes);
     Rng rng(41);
     stripes.createStripes(2, rng);
 
@@ -336,13 +336,13 @@ TEST(ScrubScanner, DetectsCorruptionAndClassifiesTier)
 
     // Healthy stripe: a single rotted chunk is kDegraded work.
     scrub.noteCorruption({0, 3});
-    stripes.table().markCorrupt(0, 3);
+    stripes.markCorrupt(0, 3);
     // Stripe already missing m-1 chunks: one more puts survivors at
     // the decode minimum — the rot there is kDataLossRisk work.
     stripes.markLost(1, 0);
     stripes.markLost(1, 1);
     scrub.noteCorruption({1, 4});
-    stripes.table().markCorrupt(1, 4);
+    stripes.markCorrupt(1, 4);
 
     EXPECT_FALSE(scrub.quiescent());
     scrub.start();
@@ -407,6 +407,41 @@ TEST(IntegrityScrub, EveryInjectedRotDetectedWithinOneEpoch)
     EXPECT_LE(res.maxDetectionLatency,
               1.5 * epochSeconds + cfg.scrub.tickInterval)
         << "epoch is " << epochSeconds << " s";
+}
+
+TEST(IntegrityScrub, DegradedReadsRepairEveryDetectedCorruption)
+{
+    // Scrub detections reach the hedged-read manager through the same
+    // enqueue() as the initial losses.
+    runtime::ExperimentConfig cfg;
+    cfg.cluster.numClients = 0;
+    cfg.stripes = 20;
+    cfg.seed = 42;
+    cfg.degraded.enabled = true;
+    cfg.scrub.enabled = true;
+    cfg.scrub.rate = 1024.0 * units::MiB;
+    cfg.scrub.maxInFlight = 8;
+    cfg.chaosSeed = 7;
+    cfg.chaosHorizon = 30.0;
+    auto run = [&](double bitrot) {
+        runtime::ExperimentConfig c = cfg;
+        c.bitrotRate = bitrot;
+        runtime::RuntimeOptions opts;
+        opts.isolateTelemetry = true;
+        return runtime::Runtime(runtime::Algorithm::kCr, c, opts).run();
+    };
+    const auto clean = run(0.0);
+    const auto res = run(0.5);
+
+    EXPECT_GT(res.corruptionsInjected, 0);
+    EXPECT_EQ(res.corruptionsDetected, res.corruptionsInjected);
+    EXPECT_EQ(res.corruptionsRepaired, res.corruptionsDetected);
+    // The accounting closes: the failed node's chunks plus every
+    // detected corruption were read back, and nothing is left lost.
+    EXPECT_EQ(res.chunksUnrecoverable, 0);
+    EXPECT_EQ(res.chunksLostAtEnd, 0);
+    EXPECT_EQ(res.chunksRepaired,
+              clean.chunksRepaired + res.corruptionsDetected);
 }
 
 TEST(IntegrityScrub, SweepStaysByteIdenticalAcrossJobsWithScrub)

@@ -26,7 +26,7 @@
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.hh"
-#include "cluster/stripe_manager.hh"
+#include "cluster/stripe_table.hh"
 #include "ec/factory.hh"
 #include "ec/lrc_code.hh"
 #include "ec/rs_code.hh"
@@ -440,7 +440,7 @@ TEST(ExecutorFuzz, RandomPlansWithRandomInterventionsComplete)
         ccfg.diskBw = 300.0;
         cluster::Cluster cluster(sim, ccfg);
         auto code = ec::makeRs(4 + static_cast<int>(rng.below(4)), 3);
-        cluster::StripeManager stripes(code, 14);
+        cluster::StripeTable stripes(code, 14);
         stripes.createStripes(8, rng);
         repair::ExecutorConfig ecfg;
         ecfg.chunkSize = 64.0;
@@ -543,7 +543,7 @@ TEST(ChurnFuzz, RandomFaultSchedulesKeepRepairInvariants)
         int k = 4 + static_cast<int>(rng.below(4));
         int m = 2 + static_cast<int>(rng.below(2));
         auto code = ec::makeRs(k, m);
-        cluster::StripeManager stripes(code, ccfg.numNodes);
+        cluster::StripeTable stripes(code, ccfg.numNodes);
         stripes.createStripes(8, rng);
         repair::ExecutorConfig ecfg;
         ecfg.chunkSize = 64.0;
@@ -608,7 +608,7 @@ TEST(ChurnFuzz, RandomFaultSchedulesKeepRepairInvariants)
         auto initial = stripes.failNode(0);
         cluster.markNodeDown(0);
         injector.arm(schedule, rng.split());
-        session.start(initial);
+        session.enqueue(initial);
 
         // Sprinkle standalone invariant probes across the run (fixed
         // times, so they add no nondeterminism).
@@ -659,7 +659,7 @@ TEST(ChurnFuzz, BitRotChaosNeverAcceptsCorruptHelpers)
         int k = 4 + static_cast<int>(rng.below(4));
         int m = 2 + static_cast<int>(rng.below(2));
         auto code = ec::makeRs(k, m);
-        cluster::StripeManager stripes(code, ccfg.numNodes);
+        cluster::StripeTable stripes(code, ccfg.numNodes);
         stripes.createStripes(8, rng);
         repair::ExecutorConfig ecfg;
         ecfg.chunkSize = 64.0;
@@ -688,7 +688,7 @@ TEST(ChurnFuzz, BitRotChaosNeverAcceptsCorruptHelpers)
                 return;
             ++rotDetected;
             surfaced.insert({stripe, chunk});
-            stripes.table().markLost(stripe, chunk);
+            stripes.markLost(stripe, chunk);
             const cluster::FailedChunk fc{stripe, chunk};
             sim.scheduleAfter(0.0, [&session, fc] {
                 session.enqueue({fc});
@@ -763,7 +763,7 @@ TEST(ChurnFuzz, BitRotChaosNeverAcceptsCorruptHelpers)
         auto initial = stripes.failNode(0);
         cluster.markNodeDown(0);
         injector.arm(schedule, rng.split());
-        session.start(initial);
+        session.enqueue(initial);
 
         for (int i = 1; i <= 40; ++i)
             sim.schedule(i * 0.5, checkAccounting);

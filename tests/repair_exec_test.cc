@@ -9,7 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.hh"
-#include "cluster/stripe_manager.hh"
+#include "cluster/stripe_table.hh"
 #include "ec/factory.hh"
 #include "repair/executor.hh"
 #include "repair/monitor.hh"
@@ -62,7 +62,7 @@ class ExecRig
     cluster::ClusterConfig cfg_;
     cluster::Cluster cluster_;
     std::shared_ptr<const ec::ErasureCode> code_;
-    cluster::StripeManager stripes_;
+    cluster::StripeTable stripes_;
     RepairExecutor executor_;
 };
 
@@ -310,7 +310,7 @@ TEST(Session, RepairsAllChunksAndUpdatesMetadata)
                                     reserved, rng);
         },
         SessionConfig{2});
-    session.start(lost);
+    session.enqueue(lost);
     rig.sim_.run();
     EXPECT_TRUE(session.finished());
     EXPECT_EQ(session.chunksRepaired(),
@@ -337,7 +337,7 @@ TEST(Session, WindowLimitsConcurrency)
                                     reserved, rng);
         },
         SessionConfig{1});
-    session.start(lost);
+    session.enqueue(lost);
     // With a window of 1, at most one chunk repair's edges exist.
     rig.sim_.schedule(0.1, [&] {
         int total = 0;

@@ -11,7 +11,7 @@
 
 #include <gtest/gtest.h>
 
-#include "cluster/stripe_manager.hh"
+#include "cluster/stripe_table.hh"
 #include "ec/factory.hh"
 #include "repair/chameleon_planner.hh"
 #include "repair/plan.hh"
@@ -22,7 +22,7 @@ namespace repair {
 namespace {
 
 std::vector<PlanSource>
-sourcesFor(const cluster::StripeManager &stripes,
+sourcesFor(const cluster::StripeTable &stripes,
            const ec::RepairSpec &spec, StripeId stripe)
 {
     std::vector<PlanSource> out;
@@ -48,7 +48,7 @@ class PlanTopologyTest : public ::testing::Test
     }
 
     std::shared_ptr<const ec::ErasureCode> code_;
-    cluster::StripeManager stripes_;
+    cluster::StripeTable stripes_;
 };
 
 TEST_F(PlanTopologyTest, StarShape)
@@ -110,7 +110,7 @@ TEST_F(PlanTopologyTest, ChainShape)
 TEST(PlanEvaluation, AllTopologiesReconstructRs)
 {
     auto code = ec::makeRs(6, 3);
-    cluster::StripeManager stripes(code, 12);
+    cluster::StripeTable stripes(code, 12);
     Rng rng(7);
     stripes.createStripes(1, rng);
 
@@ -151,7 +151,7 @@ TEST(PlanEvaluation, AllTopologiesReconstructRs)
 TEST(PlanEvaluation, LrcLocalRepairThroughTree)
 {
     auto code = ec::makeLrc(8, 2, 2);
-    cluster::StripeManager stripes(code, 14);
+    cluster::StripeTable stripes(code, 14);
     Rng rng(9);
     stripes.createStripes(1, rng);
 
@@ -214,7 +214,7 @@ randomStripe(Rng &rng, const ec::ErasureCode &code, std::size_t size)
 TEST(PlanEvaluation, RelaysWithThreeOrMoreChildren)
 {
     auto code = ec::makeRs(6, 3);
-    cluster::StripeManager stripes(code, 12);
+    cluster::StripeTable stripes(code, 12);
     Rng rng(11);
     stripes.createStripes(1, rng);
     auto chunks = randomStripe(rng, *code, 257);
@@ -242,7 +242,7 @@ TEST(PlanEvaluation, RelaysWithThreeOrMoreChildren)
 TEST(PlanEvaluation, Rs24ChainTwentyFourDeep)
 {
     auto code = ec::makeCode("rs(24,8)");
-    cluster::StripeManager stripes(code, 40);
+    cluster::StripeTable stripes(code, 40);
     Rng rng(12);
     stripes.createStripes(1, rng);
     auto chunks = randomStripe(rng, *code, 4097);
@@ -259,7 +259,7 @@ TEST(PlanEvaluation, Rs24ChainTwentyFourDeep)
 TEST(PlanEvaluation, RejectsMixedChunkSizes)
 {
     auto code = ec::makeRs(4, 2);
-    cluster::StripeManager stripes(code, 8);
+    cluster::StripeTable stripes(code, 8);
     Rng rng(13);
     stripes.createStripes(1, rng);
     auto chunks = randomStripe(rng, *code, 64);

@@ -95,11 +95,9 @@ TEST(Scenario, EveryFieldRoundTrips)
     spec.chameleon.enableRetuning = false;
     spec.chameleon.priority =
         repair::RepairPriority::kMostFailedFirst;
-    spec.chameleon.maxRetries = 9;
-    spec.chameleon.retryBackoff = 0.25;
     spec.session.maxInFlight = 17;
-    spec.session.maxRetries = 2;
-    spec.session.retryBackoff = 1.5;
+    spec.retry.maxRetries = 9;
+    spec.retry.backoff = 0.25;
     // enabled stays false here; DegradedBlockRoundTrips covers the
     // enabled path and its validation couplings.
     spec.degraded.hedge = false;
@@ -107,8 +105,6 @@ TEST(Scenario, EveryFieldRoundTrips)
     spec.degraded.hedgeMinDelay = 0.75;
     spec.degraded.maxHedges = 2;
     spec.degraded.maxInFlight = 8;
-    spec.degraded.maxRetries = 3;
-    spec.degraded.retryBackoff = 0.5;
     spec.stragglers = {
         StragglerEvent{5.0, kInvalidNode, 0.05, 15.0, true, true},
         StragglerEvent{10.5, 3, 1.0 / 3.0, 2.5, true, false},
@@ -304,8 +300,6 @@ TEST(Scenario, DegradedBlockRoundTrips)
     spec.degraded.hedgeMinDelay = 0.25;
     spec.degraded.maxHedges = 2;
     spec.degraded.maxInFlight = 16;
-    spec.degraded.maxRetries = 4;
-    spec.degraded.retryBackoff = 0.75;
 
     std::string err;
     auto back = ScenarioSpec::fromJson(spec.toJson(), &err);
@@ -327,25 +321,73 @@ TEST(Scenario, RejectsBadDegraded)
                    "max_hedges");
     expectRejected(R"({"degraded": {"max_in_flight": 0}})",
                    "max_in_flight");
-    expectRejected(R"({"degraded": {"max_retries": -1}})",
-                   "max_retries");
-    expectRejected(R"({"degraded": {"retry_backoff": -1}})",
-                   "retry_backoff");
     // The default (chameleon) algorithm owns its own plans.
     expectRejected(R"({"degraded": {"enabled": true}})", "session");
-    // Driven by an eager work list: no scanner, scrub, or topology
+    // Hedged attempts are direct star reconstructions: no topology
     // override underneath.
-    expectRejected(R"({"algorithm": "cr",
-                       "degraded": {"enabled": true},
-                       "scanner": {"enabled": true}})",
-                   "scanner");
-    expectRejected(R"({"algorithm": "cr",
-                       "degraded": {"enabled": true},
-                       "scrub": {"enabled": true}})",
-                   "scrub");
     expectRejected(R"({"algorithm": "cr", "topology": "star",
                        "degraded": {"enabled": true}})",
                    "topology");
+}
+
+TEST(Scenario, AcceptsDegradedWithScannerOrScrub)
+{
+    // The hedged-read manager takes work through the same enqueue()
+    // as every driver, so scanner discovery and scrub detections
+    // reach it like any other repair layer.
+    for (const char *json :
+         {R"({"algorithm": "cr", "degraded": {"enabled": true},
+              "scanner": {"enabled": true}})",
+          R"({"algorithm": "cr", "degraded": {"enabled": true},
+              "scrub": {"enabled": true}})"}) {
+        std::string err;
+        EXPECT_TRUE(ScenarioSpec::fromJson(json, &err).has_value())
+            << json << ": " << err;
+    }
+}
+
+TEST(Scenario, RejectsBadRetry)
+{
+    expectRejected(R"({"retry": {"attempts": 3}})", "attempts");
+    expectRejected(R"({"retry": {"max_retries": -1}})",
+                   "retry.max_retries");
+    expectRejected(R"({"retry": {"backoff": -1}})", "retry.backoff");
+    // The per-driver spellings are gone.
+    expectRejected(R"({"session": {"max_retries": 2}})", "max_retries");
+    expectRejected(R"({"chameleon": {"retry_backoff": 2}})",
+                   "retry_backoff");
+    expectRejected(R"({"degraded": {"max_retries": 2}})", "max_retries");
+}
+
+TEST(Scenario, ValidateNamesTheField)
+{
+    // Specs built in code (the CLI applies its flags this way) skip
+    // fromJson, so validate() must catch what would otherwise reach
+    // a deep assert or a meaningless result.
+    auto expectInvalid = [](const ScenarioSpec &spec,
+                            const std::string &needle) {
+        std::string err;
+        EXPECT_FALSE(spec.validate(&err));
+        EXPECT_NE(err.find(needle), std::string::npos)
+            << "error '" << err << "' lacks '" << needle << "'";
+    };
+    ScenarioSpec spec;
+    EXPECT_TRUE(spec.validate());
+
+    ScenarioSpec disk = spec;
+    disk.cluster.diskBw = 0;
+    expectInvalid(disk, "cluster.disk_bw");
+
+    ScenarioSpec link = spec;
+    link.algorithm = Algorithm::kCr;
+    link.cluster.uplinkBw = link.cluster.downlinkBw = 0;
+    expectInvalid(link, "cluster.uplink_bw");
+
+    ScenarioSpec chain = spec;
+    chain.algorithm = Algorithm::kCr;
+    chain.degraded.enabled = true;
+    chain.topology = *dag::topologyFromKey("chain");
+    expectInvalid(chain, "topology");
 }
 
 TEST(Scenario, StragglerGrammarRoundTrips)

@@ -2,7 +2,8 @@
  * @file
  * Scale-out cluster layer tests: the differential harness proving
  * the scanner/queue repair path produces byte-identical outcomes to
- * the direct-session path at small scale, property/fuzz coverage of
+ * the eager path at small scale for every driver, loss accounting
+ * on the scanner path under chaos, property/fuzz coverage of
  * RepairQueue priority and job-limit invariants under seeded chaos,
  * the StripeTable memory budget at 10^6 stripes, and a regression
  * guard that per-event solver work stays flat as the cluster grows.
@@ -21,7 +22,7 @@
 
 #include "cluster/repair_queue.hh"
 #include "cluster/replicator_scanner.hh"
-#include "cluster/stripe_manager.hh"
+#include "cluster/stripe_table.hh"
 #include "ec/factory.hh"
 #include "fault/fault.hh"
 #include "runtime/runtime.hh"
@@ -59,7 +60,9 @@ withScanner(ExperimentConfig cfg)
     return cfg;
 }
 
-void
+/** Runs `cfg` on both paths, requires identical results, and
+ * returns the eager one. */
+ExperimentResult
 expectIdentical(Algorithm algorithm, const ExperimentConfig &cfg)
 {
     Runtime direct(algorithm, cfg);
@@ -77,6 +80,7 @@ expectIdentical(Algorithm algorithm, const ExperimentConfig &cfg)
     EXPECT_TRUE(a == b) << "scanner-path result diverges from the "
                            "direct path for "
                         << algorithmName(algorithm);
+    return a;
 }
 
 TEST(ScaleDifferential, ScannerPathMatchesDirectCr)
@@ -105,6 +109,22 @@ TEST(ScaleDifferential, ScannerPathMatchesDirectUnderForeground)
     expectIdentical(Algorithm::kCr, cfg);
 }
 
+TEST(ScaleDifferential, ScannerPathMatchesDirectDegradedReads)
+{
+    // examples/scenarios/hedged.json with its straggler pinned to
+    // the node the eager run auto-picks (the scanner path has no
+    // eager work list to pick from): the primary read stalls and a
+    // hedge must fire on both paths.
+    ExperimentConfig cfg = diffConfig(7);
+    cfg.cluster.numNodes = 24;
+    cfg.chunksToRepair = 2;
+    cfg.degraded.enabled = true;
+    cfg.stragglers = {StragglerEvent{0.1, 21, 0.02, 120.0, true, true}};
+    ExperimentResult r = expectIdentical(Algorithm::kCr, cfg);
+    EXPECT_GT(r.hedgesIssued, 0);
+    EXPECT_GT(r.hedgeWins, 0);
+}
+
 TEST(ScaleDifferential, ExactStripeCountKnob)
 {
     // stripes > 0 creates exactly that many stripes up front.
@@ -116,14 +136,46 @@ TEST(ScaleDifferential, ExactStripeCountKnob)
     EXPECT_EQ(r.chunksUnrecoverable, 0);
 }
 
+// --- loss accounting on the scanner path --------------------------
+
+TEST(ScaleAccounting, ScannerChaosCountsEachLossOnce)
+{
+    // examples/scenarios/scale.json at 100 stripes under chaos. The
+    // scanner re-queues every unrecoverable stripe on each sweep;
+    // each comeback must not count as another unrecoverable chunk.
+    ExperimentConfig cfg;
+    cfg.code = ec::makeRs(10, 4);
+    cfg.trace.reset();
+    cfg.cluster.numNodes = 24;
+    cfg.cluster.numClients = 0;
+    cfg.cluster.uplinkBw = cfg.cluster.downlinkBw = 312500000;
+    cfg.cluster.diskBw = 500000000;
+    cfg.stripes = 100;
+    cfg.scanner.enabled = true;
+    cfg.scanner.batchSize = 64;
+    cfg.scanner.tickInterval = 0.5;
+    cfg.scanner.queue.maxTotalJobs = 64;
+    cfg.scanner.queue.maxNodeJobs = 4;
+    cfg.chaosRate = 1.0;
+    cfg.chaosSeed = 3;
+    cfg.seed = 21;
+    Runtime rt(Algorithm::kCr, cfg);
+    ExperimentResult r = rt.run();
+    ASSERT_GT(r.chunksLostAtEnd, 0) << "chaos lost no stripe for good";
+    // Every loss ends repaired or still lost.
+    const int losses = r.chunksRepaired + r.chunksLostAtEnd;
+    EXPECT_EQ(r.chunksRepaired + r.chunksUnrecoverable, losses);
+    EXPECT_LE(r.chunksUnrecoverable, r.chunksLostAtEnd);
+}
+
 // --- RepairQueue property/fuzz under seeded chaos ------------------
 
 /** Scanner-equivalent tier classification from stored lost bits. */
 RepairTier
-tierFor(const StripeManager &stripes, StripeId stripe)
+tierFor(const StripeTable &stripes, StripeId stripe)
 {
     const int lost =
-        std::popcount(stripes.table().lostMask(stripe));
+        std::popcount(stripes.lostMask(stripe));
     const int margin =
         stripes.code().n() - lost - stripes.code().k();
     return margin < 1 ? RepairTier::kDataLossRisk
@@ -133,10 +185,10 @@ tierFor(const StripeManager &stripes, StripeId stripe)
 /** Pushes every currently lost chunk at its current tier (push
  * dedups and escalates queued entries, like a scanner epoch). */
 void
-rescanAll(StripeManager &stripes, RepairQueue &queue)
+rescanAll(StripeTable &stripes, RepairQueue &queue)
 {
     for (StripeId s = 0; s < stripes.stripeCount(); ++s) {
-        uint64_t bits = stripes.table().lostMask(s);
+        uint64_t bits = stripes.lostMask(s);
         const RepairTier tier = tierFor(stripes, s);
         while (bits) {
             const int c = std::countr_zero(bits);
@@ -150,7 +202,7 @@ rescanAll(StripeManager &stripes, RepairQueue &queue)
 /** Repairs one chunk the way the session does (repair + relocate)
  * when the stripe is recoverable and a destination exists. */
 bool
-tryRepair(StripeManager &stripes, const FailedChunk &fc, Rng &rng)
+tryRepair(StripeTable &stripes, const FailedChunk &fc, Rng &rng)
 {
     if (static_cast<int>(stripes.availableChunks(fc.stripe).size()) <
         stripes.code().k())
@@ -167,7 +219,7 @@ tryRepair(StripeManager &stripes, const FailedChunk &fc, Rng &rng)
 TEST(ScaleQueueProperty, SeededChaosKeepsQueueInvariants)
 {
     // Randomized crash/rejoin timelines from the chaos generator,
-    // applied eagerly against a StripeManager while the queue is
+    // applied eagerly against a StripeTable while the queue is
     // pumped and drained. Invariants, checked at every admission:
     //  1. no priority inversion — when a tier-t entry is admitted,
     //     no lower-numbered (more urgent) tier holds an admissible
@@ -184,7 +236,7 @@ TEST(ScaleQueueProperty, SeededChaosKeepsQueueInvariants)
         Rng rng(seed * 9176);
         auto code = ec::makeRs(4, 2);
         const int nodes = 12;
-        StripeManager stripes(code, nodes);
+        StripeTable stripes(code, nodes);
         {
             Rng prng = rng.split();
             stripes.createStripes(120, prng);
@@ -285,7 +337,7 @@ TEST(ScaleQueueProperty, SeededChaosKeepsQueueInvariants)
         // code cannot reconstruct.
         for (StripeId s = 0; s < stripes.stripeCount(); ++s) {
             const int lost =
-                std::popcount(stripes.table().lostMask(s));
+                std::popcount(stripes.lostMask(s));
             if (lost == 0)
                 continue;
             EXPECT_LT(code->n() - lost, code->k())
@@ -318,7 +370,7 @@ TEST(ScaleQueueProperty, ScannerChaosClosesEveryLoss)
         sim::Simulator sim;
         auto code = ec::makeRs(4, 2);
         const int nodes = 12;
-        StripeManager stripes(code, nodes);
+        StripeTable stripes(code, nodes);
         {
             Rng prng = rng.split();
             stripes.createStripes(100, prng);
@@ -410,7 +462,7 @@ TEST(ScaleQueueProperty, ScannerChaosClosesEveryLoss)
 
         for (StripeId s = 0; s < stripes.stripeCount(); ++s) {
             const int lost =
-                std::popcount(stripes.table().lostMask(s));
+                std::popcount(stripes.lostMask(s));
             if (lost == 0)
                 continue;
             EXPECT_LT(code->n() - lost, code->k())
@@ -440,13 +492,13 @@ TEST(ScaleMemory, MillionStripesStayUnderDocumentedBudget)
     // reverse index + lost/gen/state arrays, capacity included).
     auto code = ec::makeRs(10, 4);
     const int n = code->n();
-    StripeManager stripes(code, 1000);
+    StripeTable stripes(code, 1000);
     Rng rng(7);
     const int count = 1000000;
     stripes.createStripes(count, rng);
     ASSERT_EQ(stripes.stripeCount(), count);
     const double per_stripe =
-        static_cast<double>(stripes.table().memoryBytes()) / count;
+        static_cast<double>(stripes.memoryBytes()) / count;
     EXPECT_LE(per_stripe, 16.0 * n + 64.0)
         << "StripeTable spends " << per_stripe
         << " bytes/stripe, over the documented budget";

@@ -133,13 +133,6 @@ splitList(const std::string &arg, char sep)
     return out;
 }
 
-bool
-isChameleonFamily(Algorithm a)
-{
-    return a == Algorithm::kEtrp || a == Algorithm::kChameleon ||
-           a == Algorithm::kChameleonIo;
-}
-
 Algorithm
 parseAlgorithm(const std::string &name)
 {
@@ -449,24 +442,24 @@ main(int argc, char **argv)
         }
     }
 
+    // Flags skip fromJson's checks: validate the finished spec once
+    // per algorithm it will run as.
+    for (auto algo : algos) {
+        ScenarioSpec cell = spec;
+        cell.algorithm = algo;
+        std::string err;
+        if (!cell.validate(&err)) {
+            std::fprintf(stderr, "invalid configuration for '%s': %s\n",
+                         algorithmKey(algo).c_str(), err.c_str());
+            return 2;
+        }
+    }
+
     if (dump_scenario) {
         if (algos.size() == 1)
             spec.algorithm = algos[0];
         std::fputs(spec.toJson().c_str(), stdout);
         return 0;
-    }
-
-    if (spec.topology.kind != dag::RepairTopology::kAuto) {
-        for (auto algo : algos) {
-            if (algo == Algorithm::kNone || isChameleonFamily(algo)) {
-                std::fprintf(stderr,
-                             "--topology %s does not apply to '%s' "
-                             "(session algorithms only)\n",
-                             dag::topologyKey(spec.topology).c_str(),
-                             algorithmKey(algo).c_str());
-                usage(2);
-            }
-        }
     }
 
     ExperimentConfig cfg = spec.toConfig();
