@@ -1,15 +1,42 @@
 /**
  * @file
  * Executes repair plans on the simulated cluster at slice
- * granularity.
+ * granularity, through one engine for parent-array trees (launch)
+ * and explicit EcDag plans (launchDag).
  *
- * Every source's upload is an "edge" that ships the chunk slice by
- * slice (the paper slices chunks for all algorithms so storage and
- * network I/O pipeline). Slices on one edge are serialized; slices of
+ * Both entry points build the same chunk state: vertices (a node, an
+ * optional helper chunk the vertex reads from its disk, the edges
+ * feeding it, and at most one edge shipping its result) and edges
+ * that ship the from-vertex's result slice by slice (the paper
+ * slices chunks for all algorithms so storage and network I/O
+ * pipeline). A tree's vertex i is source i, which owns helper i and
+ * combines whatever its children upload; its edge i is source i's
+ * upload, and the destination is the root. A DAG's vertices and
+ * edges are its own (dag/dag.hh): leaves own their helper, Join
+ * vertices own none. Slices on one edge are serialized; slices of
  * different edges overlap, which is what gives CR its parallel star,
- * PPR its staged tree, and ECPipe its O(1) pipeline. A relay may send
- * slice s only after every current child delivered slice s (it must
- * fold their contributions into its partially decoded slice).
+ * PPR its staged tree, and ECPipe its pipeline: a chain of k hops
+ * split into S slices repairs a chunk in (k + S - 1)/S chunk
+ * transfer times (ExecutorConfig::slices). A vertex holds slice s
+ * once every edge currently feeding it delivered slice s, and only
+ * then may its own edge send slice s.
+ *
+ * How an edge moves bytes follows from the plan's shape, not from
+ * the entry point:
+ *  - A network edge whose from-vertex owns a helper reads the helper
+ *    from disk inside its upload flow; an edge carrying a partial
+ *    result touches no disk.
+ *  - A co-located edge (both vertices on one node; only lowered DAGs
+ *    have them) is a local disk flow when the from-vertex owns a
+ *    helper, otherwise a zero-time in-memory handoff. It holds no
+ *    slots and pays no relay overhead.
+ *  - A slice that carries contributions other than its sender's own
+ *    pays the relay overhead before it leaves.
+ * So a tree relay (one vertex that owns a helper and combines) and
+ * its lowering by repair::fromTree (a leaf plus a co-located Join)
+ * finish a chain at the same instant with the same bytes on every
+ * network link, but the lowering starts (k-1)·S more flows: the
+ * relays' separate local disk reads.
  *
  * Each node serves a bounded number of concurrent repair upload
  * slices (recovery read streams, tightly limited as in HDFS) and
@@ -27,17 +54,11 @@
  *    slices from its relay parent to the destination; the relay stops
  *    waiting for it, and correctness is preserved by linearity.
  *
- * Correctness is checked continuously: each payload carries the set
- * of helper contributions it folds in, and the destination asserts
- * that every slice receives each helper's contribution exactly once.
- *
- * Besides parent-array trees, the executor runs explicit EcDag plans
- * (launchDag): the chunk streams through the DAG as S configurable
- * slices (ExecutorConfig::slices), each edge shipping slice s as
- * soon as its tail vertex holds it, so a chain of k hops repairs a
- * chunk in (k + S - 1)/S chunk transfer times instead of k. See
- * dag/dag.hh for the representation and launchDag for the execution
- * semantics.
+ * Correctness is checked continuously on every combinable chunk:
+ * each slice in flight carries the set of helper contributions it
+ * folds in, every vertex asserts it receives each contribution at
+ * most once, and the destination writes a slice once its set is
+ * full and asserts at completion that every slice was.
  */
 
 #ifndef CHAMELEON_REPAIR_EXECUTOR_HH_
@@ -116,9 +137,10 @@ struct ExecutorConfig
 /** Observable state of one edge, consumed by the SAR scheduler. */
 struct EdgeStatus
 {
-    /** Index of the uploading source within the plan. */
+    /** Index of the uploading source within the plan (the sending
+     * vertex of a launchDag chunk). */
     int source = 0;
-    /** Current target: source index or kToDestination. */
+    /** Current target: source (vertex) index or kToDestination. */
     int target = kToDestination;
     int slicesTotal = 0;
     int slicesDelivered = 0;
@@ -187,24 +209,15 @@ class RepairExecutor
 
     /**
      * Starts executing an explicit repair DAG (lowered from `plan`
-     * by repair::fromTree, or built fresh by a topology override).
-     * The chunk streams through the DAG as slices: an edge ships
-     * slice s as soon as the vertex it reads from holds slice s, so
-     * consecutive slices occupy consecutive hops simultaneously.
-     *
-     * Edge semantics: a leaf's upload reads the helper chunk from
-     * disk in-path and pays no relay overhead; an internal vertex's
-     * upload carries a partial decode and pays relayOverheadPerMiB
-     * per slice; co-located hops use the local disk (leaf inputs) or
-     * an in-memory handoff (internal inputs) and never hold network
-     * slots. The executor requires every non-root vertex to feed
-     * exactly one consumer so each helper contribution reaches the
-     * root exactly once.
+     * by repair::fromTree, or built fresh by a topology override)
+     * on the same engine as launch(); the file comment gives the
+     * edge rules. The DAG must validate, so every non-root vertex
+     * feeds exactly one consumer and each helper contribution
+     * reaches the root exactly once.
      *
      * `plan` is retained as provenance for the completion/failure
-     * callbacks and telemetry; it is not re-executed. DAG repairs
-     * share the RepairId space and node slot pool with tree repairs
-     * but do not support pause/resume/retune.
+     * callbacks and telemetry; it is not re-executed. Only these
+     * chunks count toward the repair.exec.dag.* metrics.
      */
     RepairId launchDag(const dag::EcDag &dag,
                        const ChunkRepairPlan &plan, ChunkDone on_done,
@@ -229,7 +242,7 @@ class RepairExecutor
      * the winner lands): cancels its flows, releases its slots, and
      * erases its state WITHOUT firing ChunkFail or counting an
      * abort — the cancellation is a scheduling decision, not a
-     * failure. Works for tree and DAG repairs alike.
+     * failure.
      *
      * @return false when `id` is not active (already completed,
      *         aborted, or canceled), which callers treat as benign.
@@ -262,9 +275,6 @@ class RepairExecutor
      */
     void retuneEdge(RepairId id, int source);
 
-    /** Fraction of the chunk's slices delivered to the destination. */
-    double destinationProgress(RepairId id) const;
-
     /**
      * Number of unfinished, unpaused edges that touch `node` as the
      * uploader or the receive target (used by the re-ordering wakeup
@@ -284,18 +294,36 @@ class RepairExecutor
     }
 
   private:
-    /** Helper-contribution bitmask; plans have at most 31 sources. */
-    using Mask = uint32_t;
+    /** Helper-contribution bitmask, bit i for helper source i; a
+     * full row is (1 << sources) - 1, so 63 sources fit. */
+    using Mask = uint64_t;
 
+    /** A slice-level result on one node; see file comment. */
+    struct Vertex
+    {
+        NodeId node = kInvalidNode;
+        /** The helper chunk this vertex reads from its node's disk:
+         * its source index (the bit in contribution masks), chunk
+         * index and read fraction. source < 0: owns no helper. */
+        int source = -1;
+        ChunkIndex chunk = 0;
+        double fraction = 1.0;
+        /** Edges currently feeding this vertex. */
+        std::vector<int> in;
+        /** The edge shipping this vertex's result; -1 at the root. */
+        int out = -1;
+    };
+
+    /** Ships the from-vertex's result to the to-vertex. */
     struct Edge
     {
-        int source = 0;
-        int target = kToDestination;
+        int from = 0;
+        int to = 0;
         int slicesTotal = 0;
         int nextSlice = 0;     // next slice index to launch
         int delivered = 0;     // slices fully delivered so far
         bool retuned = false;
-        /** Integrity verify-on-read ran for this edge's source. */
+        /** Integrity verify-on-read ran for the from-vertex's helper. */
         bool verified = false;
         sim::FlowId activeFlow = sim::kInvalidFlow;
         /** Nodes whose up/down slots the in-flight slice occupies. */
@@ -304,21 +332,28 @@ class RepairExecutor
         SimTime expectation = kTimeNever;
         /** Payload mask of the slice currently in flight. */
         Mask inFlightMask = 0;
-        /** Payload masks of delivered slices (for validation). */
-        std::vector<Mask> payload;
+        /** Launch instant of the in-flight network slice. */
+        SimTime sliceStart = 0.0;
     };
 
     struct ChunkExec
     {
         RepairId id = kInvalidRepair;
         ChunkRepairPlan plan;
-        std::vector<Edge> edges; // edges[i] is source i's upload
-        /** receivedMask[i][s]: contributions node i holds for slice
-         * s (combinable plans only). */
-        std::vector<std::vector<Mask>> receivedMask;
-        /** destMask[s]: contributions the destination holds. */
-        std::vector<Mask> destMask;
+        std::vector<Vertex> vertices;
+        std::vector<Edge> edges;
+        /** The vertex holding the reconstructed chunk, on the
+         * destination node. */
+        int root = 0;
+        bool combinable = true;
+        /** Launched through launchDag (counts toward dag.*). */
+        bool dag = false;
         int chunkSlices = 0; // slices of a full chunk
+        /** Contributions the root holds once a slice is complete. */
+        Mask fullMask = 0;
+        /** masks[v * chunkSlices + s]: contributions vertex v has
+         * received for slice s (combinable chunks only). */
+        std::vector<Mask> masks;
         /** Reconstructed slices persisted to the destination disk.
          * The destination combines contributions in memory and
          * writes each repaired slice exactly once. */
@@ -332,8 +367,18 @@ class RepairExecutor
         std::vector<sim::FlowId> destWrites;
         /** Telemetry: launch instant for the chunk's repair span. */
         SimTime launchTime = 0.0;
+        /** Pipeline telemetry: concurrent network slice flows, their
+         * peak, and total network flow-seconds (occupancy). */
+        int activeNetFlows = 0;
+        int maxActiveNetFlows = 0;
+        double netFlowSeconds = 0.0;
     };
 
+    /** Appends the edge from -> to, feeding `to`. */
+    void addEdge(ChunkExec &chunk, int from, int to) const;
+    /** Registers a built chunk and schedules its first launches. */
+    RepairId start(ChunkExec chunk, ChunkDone on_done,
+                   ChunkFail on_fail);
     void tryLaunchEdge(ChunkExec &chunk, int edge_index);
     /** Starts the network flow for an edge's pending slice (after
      * slot acquisition and any relay overhead). */
@@ -341,76 +386,29 @@ class RepairExecutor
     void onSliceDelivered(RepairId id, int edge_index);
     /** Persists a reconstructed slice at the destination. */
     void issueDestWrite(ChunkExec &chunk, Bytes bytes);
-    bool edgeDepsSatisfied(const ChunkExec &chunk,
-                           const Edge &edge) const;
     void checkChunkDone(RepairId id);
-    Mask ownMask(int source) const { return Mask(1) << source; }
+    /** True once every edge feeding `v` delivered slice `s`. */
+    bool holds(const ChunkExec &chunk, int v, int s) const;
+    bool coLocated(const ChunkExec &chunk, const Edge &edge) const
+    {
+        return chunk.vertices[static_cast<std::size_t>(edge.from)]
+                   .node ==
+               chunk.vertices[static_cast<std::size_t>(edge.to)].node;
+    }
+    Bytes sliceBytes(const ChunkExec &chunk, const Edge &edge,
+                     int s) const;
+    static Mask ownMask(const Vertex &v)
+    {
+        return v.source >= 0 ? Mask(1) << v.source : 0;
+    }
+    static Mask &mask(ChunkExec &chunk, int v, int s)
+    {
+        return chunk.masks[static_cast<std::size_t>(
+            v * chunk.chunkSlices + s)];
+    }
 
     const ChunkExec &get(RepairId id) const;
     ChunkExec &get(RepairId id);
-
-    /** One DAG edge: ships the from-vertex's result slice by slice
-     * to the consuming vertex. */
-    struct DagEdge
-    {
-        dag::VertexId from = dag::kInvalidVertex;
-        dag::VertexId to = dag::kInvalidVertex;
-        int slicesTotal = 0;
-        int nextSlice = 0; // next slice index to launch
-        int delivered = 0; // slices fully delivered so far
-        /** Same-node hop: local disk read (leaf) or in-memory
-         * handoff (internal); holds no network slots. */
-        bool local = false;
-        /** From-vertex is a leaf: raw chunk read from disk in-path,
-         * no relay overhead. */
-        bool fromLeaf = false;
-        /** Integrity verify-on-read ran for this leaf edge. */
-        bool verified = false;
-        sim::FlowId activeFlow = sim::kInvalidFlow;
-        NodeId holdUp = kInvalidNode;
-        NodeId holdDown = kInvalidNode;
-        /** Launch instant of the in-flight slice (occupancy). */
-        SimTime sliceStart = 0.0;
-    };
-
-    /** State of one DAG-executed chunk repair. */
-    struct DagExec
-    {
-        RepairId id = kInvalidRepair;
-        dag::EcDag dag;
-        /** Provenance plan for callbacks and telemetry. */
-        ChunkRepairPlan plan;
-        std::vector<DagEdge> edges;
-        /** Per-vertex indices into `edges` (to == v / from == v). */
-        std::vector<std::vector<int>> inEdges;
-        std::vector<std::vector<int>> outEdges;
-        int chunkSlices = 0; // slices of a full chunk
-        /** Root slices already persisted (combinable DAGs write each
-         * reconstructed slice as the min in-edge watermark rises). */
-        int destWatermark = 0;
-        int writesIssued = 0;
-        int writesDone = 0;
-        ChunkDone onDone;
-        ChunkFail onFail;
-        std::vector<sim::FlowId> destWrites;
-        SimTime launchTime = 0.0;
-        /** Pipeline telemetry: concurrent network slice flows. */
-        int activeNetFlows = 0;
-        int maxActiveNetFlows = 0;
-        /** Total network flow-seconds (occupancy numerator). */
-        double netFlowSeconds = 0.0;
-    };
-
-    void tryLaunchDagEdge(DagExec &chunk, int edge_index);
-    void beginDagSliceFlow(DagExec &chunk, int edge_index);
-    void onDagSliceDelivered(RepairId id, int edge_index);
-    /** Slices of `v`'s result available to ship right now. */
-    int dagReadySlices(const DagExec &chunk, dag::VertexId v) const;
-    Bytes dagEdgeSliceBytes(const DagExec &chunk, const DagEdge &edge,
-                            int s) const;
-    void issueDagDestWrite(DagExec &chunk, Bytes bytes);
-    void checkDagChunkDone(RepairId id);
-    void abortDagChunk(RepairId id, NodeId cause);
 
     /** Per-node repair slice slots; see file comment. */
     struct NodeSlots
@@ -424,8 +422,11 @@ class RepairExecutor
 
     void wake(std::vector<std::pair<RepairId, int>> &waiters);
     void releaseSlots(Edge &edge);
-    /** Shared slot-release for tree and DAG edges. */
-    void releaseHeldSlots(NodeId &hold_up, NodeId &hold_down);
+    /** Cancels the edge's in-flight slice flow, if it has one;
+     * returns whether it did. */
+    bool stopSlice(ChunkExec &chunk, Edge &edge);
+    /** Cancels every flow and releases every slot of `chunk`. */
+    void teardown(ChunkExec &chunk);
     void abortChunk(RepairId id, NodeId cause);
 
     cluster::Cluster &cluster_;
@@ -447,16 +448,16 @@ class RepairExecutor
      * vs. a reconstruction rejected after decode. */
     telemetry::Counter &metVerifyRejects_;
     telemetry::Counter &metDecodeRejects_;
-    /** DAG-path metrics: chunks, slice deliveries (local = same-node
-     * hops), per-chunk peak concurrent network slice flows, and
-     * network occupancy (flow-seconds / repair makespan). */
+    /** launchDag-chunk metrics: chunks, slice deliveries (local =
+     * co-located hops), per-chunk peak concurrent network slice
+     * flows, and network occupancy (flow-seconds / repair
+     * makespan). */
     telemetry::Counter &metDagChunks_;
     telemetry::Counter &metDagSlices_;
     telemetry::Counter &metDagLocalSlices_;
     telemetry::Histogram &metDagPipelineDepth_;
     telemetry::Histogram &metDagOccupancy_;
     std::unordered_map<RepairId, ChunkExec> active_;
-    std::unordered_map<RepairId, DagExec> dagActive_;
     std::vector<NodeSlots> slots_;
     RepairId nextId_ = 0;
     int64_t completedChunks_ = 0;
