@@ -16,7 +16,7 @@
  * The run loop holds every cell open until the scrub subsystem is
  * quiescent, so each row's corruption accounting must close: every
  * injected corruption detected, every detection re-repaired.
- * Results go to BENCH_runtime.json (micro_sweep/micro_dag style).
+ * Results go to BENCH_runtime.json.
  */
 
 #include <cstdio>

@@ -481,18 +481,5 @@ StripeTable::memoryBytes() const
     return bytes;
 }
 
-void
-StripeTable::compact()
-{
-    placement_.shrink_to_fit();
-    lostBits_.shrink_to_fit();
-    corruptBits_.shrink_to_fit();
-    gen_.shrink_to_fit();
-    state_.shrink_to_fit();
-    misplaced_.shrink_to_fit();
-    for (auto &list : nodeIndex_)
-        list.shrink_to_fit();
-}
-
 } // namespace cluster
 } // namespace chameleon

@@ -211,9 +211,6 @@ class StripeTable
      * budget: <= 16*n + 64. */
     std::size_t memoryBytes() const;
 
-    /** shrink_to_fit on all arrays (drops growth slack). */
-    void compact();
-
   private:
     static constexpr uint8_t kNodeFailed = 1;
     static constexpr uint8_t kNodeWipePending = 2;

@@ -620,6 +620,13 @@ ScenarioSpec::validate(std::string *error) const
         return fail("cluster.nodes must be >= 1");
     if (cluster.numClients < 0)
         return fail("cluster.clients must be >= 0");
+    if (cluster.numClients < 1 && !trace.empty() && trace != "none")
+        return fail("cluster.clients must be >= 1 to replay trace '" +
+                    trace + "' (use trace none for no clients)");
+    if (cluster.racks > 0 && cluster.rackOversubscription < 1.0)
+        return fail("cluster.rack_oversubscription must be >= 1 with "
+                    "cluster.racks > 0, got " +
+                    formatDouble(cluster.rackOversubscription));
     for (const auto &[key, bw] :
          {std::pair{"uplink_bw", cluster.uplinkBw},
           std::pair{"downlink_bw", cluster.downlinkBw},
@@ -640,8 +647,9 @@ ScenarioSpec::validate(std::string *error) const
     if (stripes < 0)
         return fail("stripes must be >= 0 "
                     "(0 = grow to chunks_to_repair)");
-    if (failedNodes < 1 || failedNodes > cluster.numNodes)
-        return fail("failed_nodes must be in [1, cluster.nodes]");
+    if (failedNodes < 1 || failedNodes >= cluster.numNodes)
+        return fail("failed_nodes must be in [1, cluster.nodes - 1] "
+                    "(foreground traffic needs a live node)");
     if (retry.maxRetries < 0)
         return fail("retry.max_retries must be >= 0");
     if (retry.backoff < 0)
@@ -678,6 +686,25 @@ ScenarioSpec::validate(std::string *error) const
         return fail("degraded.max_in_flight must be >= 1");
     if (warmup < 0 || simTimeCap <= 0)
         return fail("warmup must be >= 0 and sim_time_cap > 0");
+    if (chameleon.tPhase <= 0)
+        return fail("chameleon.t_phase must be > 0");
+    if (chameleon.checkPeriod <= 0)
+        return fail("chameleon.check_period must be > 0");
+    // Stripe width: StripeTable tracks each stripe's lost and
+    // corrupt chunks in 64-bit masks, and places one chunk per node.
+    std::string code_error;
+    const auto parsed = tryParseCode(code, &code_error);
+    if (!parsed)
+        return fail("code: " + code_error);
+    const int width = (*parsed)->n();
+    if (width > 64)
+        return fail("code '" + code + "' has " + std::to_string(width) +
+                    " chunks per stripe; at most 64 are supported");
+    if (cluster.numNodes < width)
+        return fail("cluster.nodes is " +
+                    std::to_string(cluster.numNodes) + ", but code '" +
+                    code + "' places " + std::to_string(width) +
+                    " chunks per stripe on distinct nodes");
 
     // Cross-field constraints.
     if (topology.kind != dag::RepairTopology::kAuto &&

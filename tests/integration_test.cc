@@ -66,6 +66,30 @@ TEST(FullMatrix, EveryAlgorithmEveryCodeCompletes)
     }
 }
 
+TEST(WideStripe, Rs40_8On60NodesRepairsOnTreesAndDags)
+{
+    // Each repair reads 40 helpers: past the 31-source contribution
+    // masks the executor once had, inside the 63 it allows. CR runs
+    // a star plan, Chameleon its own trees, and the chain override a
+    // repair DAG; every lost chunk must be accounted for.
+    for (auto [algo, topo] :
+         {std::pair{Algorithm::kCr, dag::RepairTopology::kAuto},
+          std::pair{Algorithm::kChameleon, dag::RepairTopology::kAuto},
+          std::pair{Algorithm::kCr, dag::RepairTopology::kChain}}) {
+        auto cfg = tinyConfig();
+        cfg.cluster.numNodes = 60;
+        cfg.code = ec::makeRs(40, 8);
+        cfg.topology.kind = topo;
+        auto r = runExperiment(algo, cfg);
+        EXPECT_EQ(r.chunksRepaired + r.chunksUnrecoverable,
+                  cfg.chunksToRepair)
+            << algorithmName(algo) << " / "
+            << dag::topologyKey(cfg.topology);
+        EXPECT_EQ(r.chunksUnrecoverable, 0);
+        EXPECT_GT(r.repairThroughput, 0.0);
+    }
+}
+
 TEST(Determinism, SameSeedSameResult)
 {
     auto cfg = tinyConfig();

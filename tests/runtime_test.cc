@@ -75,7 +75,7 @@ TEST(Scenario, EveryFieldRoundTrips)
     spec.cluster.diskBw = 217.0 * units::MBps;
     spec.cluster.usageWindow = 7.5;
     spec.cluster.racks = 4;
-    spec.cluster.rackOversubscription = 1.0 / 3.0;
+    spec.cluster.rackOversubscription = 4.0 / 3.0;
     spec.exec.chunkSize = 48 * units::MiB;
     spec.exec.sliceSize = 3 * units::MiB;
     spec.exec.nodeUploadSlots = 3;
@@ -266,6 +266,7 @@ TEST(Scenario, RegistryCodeSpecsRoundTrip)
         EXPECT_TRUE(tryParseCode(code).has_value()) << code;
         ScenarioSpec spec;
         spec.code = code;
+        spec.cluster.numNodes = 40; // room for 32-chunk stripes
         std::string err;
         auto back = ScenarioSpec::fromJson(spec.toJson(), &err);
         ASSERT_TRUE(back.has_value()) << code << ": " << err;
@@ -388,6 +389,48 @@ TEST(Scenario, ValidateNamesTheField)
     chain.degraded.enabled = true;
     chain.topology = *dag::topologyFromKey("chain");
     expectInvalid(chain, "topology");
+
+    ScenarioSpec phase = spec;
+    phase.chameleon.tPhase = 0;
+    expectInvalid(phase, "chameleon.t_phase");
+
+    ScenarioSpec period = spec;
+    period.chameleon.checkPeriod = -1;
+    expectInvalid(period, "chameleon.check_period");
+
+    ScenarioSpec clients = spec;
+    clients.cluster.numClients = 0;
+    expectInvalid(clients, "cluster.clients");
+    clients.trace = "none";
+    EXPECT_TRUE(clients.validate());
+
+    ScenarioSpec racks = spec;
+    racks.cluster.racks = 4;
+    racks.cluster.rackOversubscription = 0.5;
+    expectInvalid(racks, "cluster.rack_oversubscription");
+    racks.cluster.racks = 0;
+    EXPECT_TRUE(racks.validate());
+
+    ScenarioSpec failed = spec;
+    failed.failedNodes = failed.cluster.numNodes;
+    expectInvalid(failed, "failed_nodes");
+    failed.failedNodes = failed.cluster.numNodes - 1;
+    EXPECT_TRUE(failed.validate());
+
+    // RS(10,4) places 14 chunks per stripe on distinct nodes.
+    ScenarioSpec narrow = spec;
+    narrow.cluster.numNodes = 13;
+    expectInvalid(narrow, "cluster.nodes");
+    narrow.cluster.numNodes = 14;
+    EXPECT_TRUE(narrow.validate());
+
+    ScenarioSpec wide = spec;
+    wide.code = "rs(60,8)";
+    wide.cluster.numNodes = 80;
+    expectInvalid(wide, "code");
+    wide.code = "rs(40,8)";
+    wide.cluster.numNodes = 60;
+    EXPECT_TRUE(wide.validate());
 }
 
 TEST(Scenario, StragglerGrammarRoundTrips)

@@ -2,10 +2,13 @@
  * @file
  * Tests for the telemetry subsystem: metrics registry semantics
  * (handles, snapshot, reset), histogram bucketing and percentiles,
- * tracer span bookkeeping and ring-buffer drops, and the JSON sinks
- * (validated by parsing our own output back in).
+ * tracer span bookkeeping and ring-buffer drops, the JSON sinks
+ * (validated by parsing our own output back in), and the crash
+ * flush a panicking run relies on.
  */
 
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -14,6 +17,7 @@
 #include "telemetry/metrics.hh"
 #include "telemetry/telemetry.hh"
 #include "telemetry/trace.hh"
+#include "util/logging.hh"
 
 namespace chameleon {
 namespace telemetry {
@@ -280,6 +284,33 @@ TEST(Facade, EnableGateControlsTracing)
 #endif
     setEnabled(false);
     tracer().clear();
+}
+
+TEST(Facade, PanicFlushesTraceOutput)
+{
+    // setTraceOutput() installs a crash hook: a run that panics still
+    // leaves a parseable trace holding what it recorded.
+    const std::string path = ::testing::TempDir() + "panic_trace.json";
+    std::remove(path.c_str());
+    EXPECT_DEATH(
+        {
+            setTraceOutput(path);
+            tracer().instant(1.0, kTrackSim, "test", "before_panic");
+            CHAMELEON_PANIC("deliberate panic");
+        },
+        "deliberate panic");
+    std::ifstream in(path);
+    ASSERT_TRUE(in.good()) << "no trace at " << path;
+    std::stringstream text;
+    text << in.rdbuf();
+    auto doc = parseJson(text.str());
+    ASSERT_TRUE(doc.has_value()) << "invalid JSON: " << text.str();
+    const JsonValue *events = doc->find("traceEvents");
+    ASSERT_NE(events, nullptr);
+    bool saw = false;
+    for (const auto &ev : events->array)
+        saw |= ev.stringOr("name", "") == "before_panic";
+    EXPECT_TRUE(saw);
 }
 
 } // namespace

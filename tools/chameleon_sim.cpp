@@ -454,6 +454,11 @@ main(int argc, char **argv)
             return 2;
         }
     }
+    if (trace_file_override && spec.cluster.numClients < 1) {
+        std::fprintf(stderr, "invalid configuration: cluster.clients "
+                             "must be >= 1 to replay --trace-file\n");
+        return 2;
+    }
 
     if (dump_scenario) {
         if (algos.size() == 1)
