@@ -16,7 +16,7 @@
  * The run loop holds every cell open until the scrub subsystem is
  * quiescent, so each row's corruption accounting must close: every
  * injected corruption detected, every detection re-repaired.
- * Results go to BENCH_runtime.json.
+ * Results go to BENCH_scrub.json.
  */
 
 #include <cstdio>
@@ -140,7 +140,7 @@ main(int argc, char **argv)
                       slow.r.meanDetectionLatency);
     }
 
-    std::FILE *json = std::fopen("BENCH_runtime.json", "w");
+    std::FILE *json = std::fopen("BENCH_scrub.json", "w");
     if (json) {
         std::fprintf(
             json,
@@ -180,9 +180,9 @@ main(int argc, char **argv)
                      "}\n",
                      chk.failed() ? "false" : "true");
         std::fclose(json);
-        std::printf("wrote BENCH_runtime.json\n");
+        std::printf("wrote BENCH_scrub.json\n");
     } else {
-        std::fprintf(stderr, "cannot write BENCH_runtime.json\n");
+        std::fprintf(stderr, "cannot write BENCH_scrub.json\n");
         return 1;
     }
 

@@ -12,7 +12,7 @@
  * time) against the same reads without hedging: the hedge turns a
  * straggler-dominated tail into a near-nominal read.
  *
- * Results go to BENCH_runtime.json (exp16_scrub style).
+ * Results go to BENCH_wide_codes.json (exp16_scrub style).
  */
 
 #include <algorithm>
@@ -210,7 +210,7 @@ main(int argc, char **argv)
                   hedged.r.hedgesIssued >= 1);
     }
 
-    std::FILE *json = std::fopen("BENCH_runtime.json", "w");
+    std::FILE *json = std::fopen("BENCH_wide_codes.json", "w");
     if (json) {
         std::fprintf(
             json,
@@ -261,9 +261,9 @@ main(int argc, char **argv)
                      "}\n",
                      chk.failed() ? "false" : "true");
         std::fclose(json);
-        std::printf("wrote BENCH_runtime.json\n");
+        std::printf("wrote BENCH_wide_codes.json\n");
     } else {
-        std::fprintf(stderr, "cannot write BENCH_runtime.json\n");
+        std::fprintf(stderr, "cannot write BENCH_wide_codes.json\n");
         return 1;
     }
 

@@ -8,7 +8,9 @@
  * the expected chunk count is recomputed from the same seed
  * derivation the runtime uses, so the cell checks that the scanner
  * discovered and repaired exactly the hosted set. The standalone
- * StripeTable of each cell is also measured against its documented
+ * StripeTable of each cell, after that one chunksOnNode(0) query
+ * (so the reverse index holds node 0's list only: about 4*n + 22
+ * bytes/stripe), is also measured against its documented
  * <= 16*n + 64 bytes/stripe budget.
  *
  * Results go to BENCH_scale.json (events/sec and peak-RSS rows, in

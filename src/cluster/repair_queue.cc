@@ -11,7 +11,13 @@ namespace cluster {
 RepairQueue::RepairQueue(StripeTable &stripes,
                          RepairQueueConfig config)
     : stripes_(stripes), config_(config),
-      nodeJobs_(static_cast<std::size_t>(stripes.numNodes()), 0)
+      nodeJobs_(static_cast<std::size_t>(stripes.numNodes()), 0),
+      metScanSteps_(
+          telemetry::metrics().counter("repair.queue.scan_steps")),
+      metMemoSkips_(
+          telemetry::metrics().counter("repair.queue.memo_skips")),
+      metAdmitted_(
+          telemetry::metrics().counter("repair.queue.admitted"))
 {
     CHAMELEON_ASSERT(config_.maxTotalJobs >= 1,
                      "maxTotalJobs must be >= 1");
@@ -122,15 +128,11 @@ RepairQueue::pop()
                 entry.checkedGen == gen &&
                 nodeJobs_[static_cast<std::size_t>(
                     entry.blockedOn)] >= config_.maxNodeJobs) {
-                telemetry::metrics()
-                    .counter("repair.queue.memo_skips")
-                    .add();
+                metMemoSkips_.add();
                 ++i;
                 continue;
             }
-            telemetry::metrics()
-                .counter("repair.queue.scan_steps")
-                .add();
+            metScanSteps_.add();
             auto nodes = charges(fc);
             NodeId blocker = kInvalidNode;
             for (NodeId n : nodes) {
@@ -156,9 +158,7 @@ RepairQueue::pop()
             heldCharges_.emplace(key, std::move(nodes));
             q.erase(q.begin() + static_cast<std::ptrdiff_t>(i));
             --depth_[t];
-            telemetry::metrics()
-                .counter("repair.queue.admitted")
-                .add();
+            metAdmitted_.add();
             return AdmittedRepair{fc, static_cast<RepairTier>(t)};
         }
         // Full scan found nothing admissible; skip this tier until

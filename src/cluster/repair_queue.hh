@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "cluster/stripe_table.hh"
+#include "telemetry/metrics.hh"
 #include "util/types.hh"
 
 namespace chameleon {
@@ -177,6 +178,10 @@ class RepairQueue
      * Starts above Entry's default so a fresh memo is never valid
      * by accident. */
     uint64_t memoEpoch_ = 1;
+
+    telemetry::Counter &metScanSteps_;
+    telemetry::Counter &metMemoSkips_;
+    telemetry::Counter &metAdmitted_;
 };
 
 } // namespace cluster

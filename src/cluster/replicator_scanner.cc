@@ -1,5 +1,6 @@
 #include "cluster/replicator_scanner.hh"
 
+#include <algorithm>
 #include <bit>
 #include <utility>
 
@@ -14,7 +15,11 @@ ReplicatorScanner::ReplicatorScanner(StripeTable &stripes,
                                      sim::Simulator &sim,
                                      ScannerConfig config)
     : stripes_(stripes), queue_(queue), sim_(sim),
-      config_(std::move(config))
+      config_(std::move(config)),
+      metStripesScanned_(
+          telemetry::metrics().counter("scanner.stripes_scanned")),
+      metChunksEnqueued_(
+          telemetry::metrics().counter("scanner.chunks_enqueued"))
 {
     CHAMELEON_ASSERT(config_.batchSize >= 1,
                      "scanner batchSize must be >= 1");
@@ -68,12 +73,24 @@ ReplicatorScanner::scanBatch(int limit)
         scannedTotal_ = barrier_;
         return;
     }
-    for (int i = 0; i < limit; ++i) {
+    for (int left = limit; left > 0;) {
         if (cursor_ == 0)
             sweepStartStamp_ = stripes_.wipeStamp();
-        scanStripe(cursor_);
-        ++scannedTotal_;
-        if (++cursor_ >= total) {
+        // Up to the wrap or the batch end, whichever comes first.
+        // With no wipe pending, a healthy stripe needs only its state
+        // set, so runs of them are marked in one pass; scanStripe()
+        // takes the first stripe that has a lost bit or a misplaced
+        // flag, and every stripe while a wipe is pending.
+        const StripeId end = cursor_ + std::min(left, total - cursor_);
+        StripeId next = cursor_;
+        if (!stripes_.hasPendingWipe())
+            next = stripes_.markHealthyRun(cursor_, end);
+        if (next < end)
+            scanStripe(next++);
+        scannedTotal_ += next - cursor_;
+        left -= next - cursor_;
+        cursor_ = next;
+        if (cursor_ >= total) {
             cursor_ = 0;
             ++epoch_;
             // A full sweep materialized every stripe; if no newer
@@ -83,9 +100,7 @@ ReplicatorScanner::scanBatch(int limit)
                 stripes_.clearPendingWipes();
         }
     }
-    telemetry::metrics()
-        .counter("scanner.stripes_scanned")
-        .add(limit);
+    metStripesScanned_.add(limit);
 }
 
 void
@@ -124,9 +139,7 @@ ReplicatorScanner::scanStripe(StripeId stripe)
                     FailedChunk{stripe,
                                 static_cast<ChunkIndex>(c)},
                     tier))
-                telemetry::metrics()
-                    .counter("scanner.chunks_enqueued")
-                    .add();
+                metChunksEnqueued_.add();
         }
     } else if (health == StripeHealth::kMisplaced) {
         queue_.push(FailedChunk{stripe, kBalancerChunk},

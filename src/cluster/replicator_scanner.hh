@@ -134,6 +134,9 @@ class ReplicatorScanner
     bool running_ = false;
     bool pumping_ = false;
     bool repump_ = false;
+
+    telemetry::Counter &metStripesScanned_;
+    telemetry::Counter &metChunksEnqueued_;
 };
 
 } // namespace cluster

@@ -26,6 +26,10 @@ StripeTable::StripeTable(std::shared_ptr<const ec::ErasureCode> code,
     fyPool_.resize(static_cast<std::size_t>(numNodes_));
     for (int i = 0; i < numNodes_; ++i)
         fyPool_[static_cast<std::size_t>(i)] = i;
+    // Draw i of a stripe's Fisher-Yates picks from numNodes - i.
+    draws_.reserve(static_cast<std::size_t>(n_));
+    for (int i = 0; i < n_; ++i)
+        draws_.emplace_back(static_cast<uint64_t>(numNodes_ - i));
 }
 
 void
@@ -34,42 +38,36 @@ StripeTable::createStripes(int count, Rng &rng)
     CHAMELEON_ASSERT(count >= 0, "negative stripe count");
     const auto n = static_cast<std::size_t>(n_);
     const std::size_t base = lostBits_.size();
-    placement_.reserve(placement_.size() +
-                       static_cast<std::size_t>(count) * n);
-    lostBits_.reserve(base + static_cast<std::size_t>(count));
-    corruptBits_.reserve(base + static_cast<std::size_t>(count));
-    gen_.reserve(base + static_cast<std::size_t>(count));
-    state_.reserve(base + static_cast<std::size_t>(count));
-    misplaced_.reserve(base + static_cast<std::size_t>(count));
+    const std::size_t total = base + static_cast<std::size_t>(count);
+    placement_.resize(total * n);
+    lostBits_.resize(total, 0);
+    corruptBits_.resize(total, 0);
+    gen_.resize(total, 0);
+    state_.resize(total, static_cast<uint8_t>(StripeHealth::kHealthy));
+    misplaced_.resize(total, 0);
 
     // Swap targets for one stripe's partial Fisher-Yates; undone in
     // reverse after each stripe so fyPool_ stays the identity
     // permutation without an O(numNodes) re-init per stripe. The
     // draw sequence matches the legacy implementation exactly.
     uint32_t swaps[64];
-    for (int s = 0; s < count; ++s) {
+    for (std::size_t s = base; s < total; ++s) {
         for (int i = 0; i < n_; ++i) {
-            auto j = static_cast<std::size_t>(i) +
-                     rng.below(fyPool_.size() -
-                               static_cast<std::size_t>(i));
+            const auto j = static_cast<std::size_t>(i) +
+                           draws_[static_cast<std::size_t>(i)].draw(rng);
             swaps[i] = static_cast<uint32_t>(j);
             std::swap(fyPool_[static_cast<std::size_t>(i)],
                       fyPool_[j]);
         }
-        const auto stripe =
-            static_cast<StripeId>(lostBits_.size());
-        for (int c = 0; c < n_; ++c) {
-            const NodeId node = fyPool_[static_cast<std::size_t>(c)];
-            placement_.push_back(node);
-            nodeIndex_[static_cast<std::size_t>(node)].push_back(
-                static_cast<uint32_t>(slot(stripe, c)));
+        std::copy_n(fyPool_.begin(), n, placement_.begin() + s * n);
+        if (allIndexed_ || soleIndexed_ != kInvalidNode) {
+            for (std::size_t c = 0; c < n; ++c) {
+                const NodeId node = fyPool_[c];
+                if (allIndexed_ || node == soleIndexed_)
+                    nodeIndex_[static_cast<std::size_t>(node)]
+                        .push_back(static_cast<uint32_t>(s * n + c));
+            }
         }
-        lostBits_.push_back(0);
-        corruptBits_.push_back(0);
-        gen_.push_back(0);
-        state_.push_back(
-            static_cast<uint8_t>(StripeHealth::kHealthy));
-        misplaced_.push_back(0);
         for (int i = n_ - 1; i >= 0; --i)
             std::swap(fyPool_[static_cast<std::size_t>(i)],
                       fyPool_[swaps[i]]);
@@ -137,8 +135,9 @@ StripeTable::relocate(StripeId stripe, ChunkIndex chunk, NodeId node)
         }
     }
     placement_[base + static_cast<std::size_t>(chunk)] = node;
-    nodeIndex_[static_cast<std::size_t>(node)].push_back(
-        static_cast<uint32_t>(slot(stripe, chunk)));
+    if (allIndexed_ || node == soleIndexed_)
+        nodeIndex_[static_cast<std::size_t>(node)].push_back(
+            static_cast<uint32_t>(slot(stripe, chunk)));
     ++gen_[static_cast<std::size_t>(stripe)];
 }
 
@@ -231,9 +230,39 @@ StripeTable::corruptMask(StripeId stripe) const
     return corruptBits_[static_cast<std::size_t>(stripe)];
 }
 
+void
+StripeTable::buildIndex(NodeId node) const
+{
+    if (soleIndexed_ == kInvalidNode) {
+        // First query: collect this node's slots alone.
+        auto &list = nodeIndex_[static_cast<std::size_t>(node)];
+        for (std::size_t s = 0; s < placement_.size(); ++s)
+            if (placement_[s] == node)
+                list.push_back(static_cast<uint32_t>(s));
+        soleIndexed_ = node;
+        return;
+    }
+    // A second node: from here on every node's list is kept, so
+    // further queries cost no pass at all.
+    std::vector<uint32_t> counts(static_cast<std::size_t>(numNodes_), 0);
+    for (NodeId p : placement_)
+        ++counts[static_cast<std::size_t>(p)];
+    for (std::size_t v = 0; v < nodeIndex_.size(); ++v) {
+        std::vector<uint32_t> fresh;
+        fresh.reserve(counts[v]);
+        nodeIndex_[v].swap(fresh);
+    }
+    for (std::size_t s = 0; s < placement_.size(); ++s)
+        nodeIndex_[static_cast<std::size_t>(placement_[s])].push_back(
+            static_cast<uint32_t>(s));
+    allIndexed_ = true;
+}
+
 const std::vector<uint32_t> &
 StripeTable::gatherNode(NodeId node) const
 {
+    if (!allIndexed_ && node != soleIndexed_)
+        buildIndex(node);
     auto &list = nodeIndex_[static_cast<std::size_t>(node)];
     // Drop stale entries (chunk relocated away since insertion).
     std::size_t w = 0;
@@ -433,6 +462,24 @@ StripeTable::setState(StripeId stripe, StripeHealth h)
         static_cast<uint8_t>(h);
 }
 
+StripeId
+StripeTable::markHealthyRun(StripeId first, StripeId last)
+{
+    CHAMELEON_ASSERT(first >= 0 && first <= last &&
+                         last <= stripeCount(),
+                     "bad stripe run [", first, ", ", last, ")");
+    CHAMELEON_ASSERT(pendingWipeCount_ == 0,
+                     "markHealthyRun() with a wipe pending");
+    auto s = static_cast<std::size_t>(first);
+    const auto end = static_cast<std::size_t>(last);
+    for (; s < end; ++s) {
+        if (lostBits_[s] != 0 || misplaced_[s] != 0)
+            break;
+        state_[s] = static_cast<uint8_t>(StripeHealth::kHealthy);
+    }
+    return static_cast<StripeId>(s);
+}
+
 bool
 StripeTable::misplaced(StripeId stripe) const
 {
@@ -474,6 +521,7 @@ StripeTable::memoryBytes() const
                         nodeFlags_.capacity() * sizeof(uint8_t) +
                         hostStamp_.capacity() * sizeof(uint32_t) +
                         fyPool_.capacity() * sizeof(NodeId) +
+                        draws_.capacity() * sizeof(FixedBound) +
                         nodeIndex_.capacity() *
                             sizeof(std::vector<uint32_t>);
     for (const auto &list : nodeIndex_)

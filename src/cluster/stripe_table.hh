@@ -20,16 +20,22 @@
  *   state_      scanner-assigned health classification
  *   misplaced_  placement-policy violation flag (balancer input)
  *
- * No per-stripe heap objects exist; the documented budget is
- * <= 16*n + 64 bytes per stripe including the per-node reverse
- * index and vector growth slack (see memoryBytes()).
+ * No per-stripe heap objects exist: 4*n + 22 bytes per stripe
+ * before any node's chunks are asked for, and the documented budget
+ * of <= 16*n + 64 once the reverse index covers every node, vector
+ * growth slack included (see memoryBytes()).
  *
  * Two scale-oriented extensions over a per-stripe representation:
  *
- * - A lazy per-node reverse index (packed `stripe * n + chunk`
- *   slots) makes failNode()/chunksOnNode() proportional to the
- *   node's chunk count instead of O(stripes * n). Entries go stale
- *   when chunks relocate; reads compact them away.
+ * - A per-node reverse index (packed `stripe * n + chunk` slots),
+ *   built on demand, makes repeated failNode()/chunksOnNode() calls
+ *   proportional to the node's chunk count instead of
+ *   O(stripes * n). The first node asked for gets its list from
+ *   one pass over the placement; a second one makes that pass fill
+ *   every node's list. Only existing lists are appended to on
+ *   create / relocate, so a table that is never asked (the scanner
+ *   path) carries no index. Entries go stale when chunks relocate;
+ *   reads compact them away.
  *
  * - Deferred failure discovery: failNodeDeferred() marks the node
  *   failed and "wipe pending" in O(1) without touching any stripe.
@@ -100,8 +106,9 @@ class StripeTable
      * Creates `count` stripes with uniform random placement.
      * Consumes the RNG exactly as the legacy per-stripe
      * Fisher-Yates did (n draws of below(numNodes - i) per
-     * stripe), so placements are bit-identical across the old and
-     * new representations for the same seed.
+     * stripe, here through FixedBounds built once per table), so
+     * placements are bit-identical across the old and new
+     * representations for the same seed.
      */
     void createStripes(int count, Rng &rng);
 
@@ -193,7 +200,8 @@ class StripeTable
     std::vector<NodeId> candidateDestinations(StripeId stripe) const;
 
     /** Chunks hosted by `node` (lost ones included), in
-     * (stripe, chunk) order. Uses the reverse index. */
+     * (stripe, chunk) order. Uses the reverse index, building it
+     * on demand. */
     std::vector<FailedChunk> chunksOnNode(NodeId node) const;
 
     /** Per-stripe generation; bumped on any loss/placement edit. */
@@ -202,13 +210,23 @@ class StripeTable
     StripeHealth state(StripeId stripe) const;
     void setState(StripeId stripe, StripeHealth h);
 
+    /**
+     * The scanner's sweep over healthy stripes: marks each stripe
+     * of [first, last) kHealthy up to the first one with a stored
+     * lost bit or a misplaced flag, and returns that stripe (last
+     * if none). Requires no pending wipe, so stored bits are the
+     * whole lost mask.
+     */
+    StripeId markHealthyRun(StripeId first, StripeId last);
+
     bool misplaced(StripeId stripe) const;
     void markMisplaced(StripeId stripe);
     void clearMisplaced(StripeId stripe);
 
     /** Bytes held by all metadata arrays (capacity-based), including
-     * the reverse index. Divide by stripeCount() for bytes/stripe;
-     * budget: <= 16*n + 64. */
+     * whatever of the reverse index exists. Divide by stripeCount()
+     * for bytes/stripe: 4*n + 22 with no index, budget <= 16*n + 64
+     * with every node's list. */
     std::size_t memoryBytes() const;
 
   private:
@@ -225,6 +243,8 @@ class StripeTable
     }
     /** Lost mask including pending-wipe derivation. */
     uint64_t derivedMask(StripeId stripe) const;
+    /** Builds node's list (see file comment) if it does not exist. */
+    void buildIndex(NodeId node) const;
     /** Compacts + sorts node's index entries; returns the list. */
     const std::vector<uint32_t> &gatherNode(NodeId node) const;
 
@@ -246,12 +266,17 @@ class StripeTable
     int corruptCount_ = 0;
     int pendingWipeCount_ = 0;
     uint64_t wipeStamp_ = 0;
-    /** Reverse index: packed slots per node. Appended on create /
-     * relocate; stale entries dropped on gatherNode(). */
+    /** Reverse index: packed slots per node. Only soleIndexed_'s
+     * list, or every list once allIndexed_, exists; those are
+     * appended on create / relocate; stale entries dropped on
+     * gatherNode(). */
     mutable std::vector<std::vector<uint32_t>> nodeIndex_;
+    mutable NodeId soleIndexed_ = kInvalidNode;
+    mutable bool allIndexed_ = false;
 
     // --- allocation-free scratch ---
     std::vector<NodeId> fyPool_; // persistent identity pool for F-Y
+    std::vector<FixedBound> draws_; // draw i: below(numNodes - i)
     mutable std::vector<uint32_t> hostStamp_; // per node
     mutable uint32_t stampEpoch_ = 0;
 };

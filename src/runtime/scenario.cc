@@ -700,11 +700,18 @@ ScenarioSpec::validate(std::string *error) const
     if (width > 64)
         return fail("code '" + code + "' has " + std::to_string(width) +
                     " chunks per stripe; at most 64 are supported");
-    if (cluster.numNodes < width)
+    // A stripe that loses one chunk keeps width - 1 chunks on live
+    // nodes, and its repair needs one more live node outside it:
+    // nodes - failed_nodes >= width.
+    if (cluster.numNodes < width + failedNodes)
         return fail("cluster.nodes is " +
                     std::to_string(cluster.numNodes) + ", but code '" +
                     code + "' places " + std::to_string(width) +
-                    " chunks per stripe on distinct nodes");
+                    " chunks per stripe on distinct nodes and " +
+                    std::to_string(failedNodes) +
+                    " failed node(s) leave no live node outside a "
+                    "stripe to repair into: need at least " +
+                    std::to_string(width + failedNodes));
 
     // Cross-field constraints.
     if (topology.kind != dag::RepairTopology::kAuto &&

@@ -105,4 +105,34 @@ Rng::split()
     return Rng(next());
 }
 
+FixedBound::FixedBound(uint64_t bound)
+    : bound_(bound), threshold_(0), reciprocal_(0)
+{
+    CHAMELEON_ASSERT(bound >= 1, "FixedBound requires bound >= 1, got ",
+                     bound);
+    threshold_ = -bound % bound;
+    // ceil(2^128 / bound); wraps to 0 for bound 1, which still
+    // yields remainder 0.
+    reciprocal_ = ~static_cast<unsigned __int128>(0) / bound + 1;
+}
+
+uint64_t
+FixedBound::draw(Rng &rng) const
+{
+    for (;;) {
+        const uint64_t r = rng.next();
+        if (r >= threshold_) {
+            const unsigned __int128 low = reciprocal_ * r;
+            const auto lo = static_cast<uint64_t>(low);
+            const auto hi = static_cast<uint64_t>(low >> 64);
+            // (low * bound) >> 128, from two 64x64 products.
+            const unsigned __int128 carry =
+                static_cast<unsigned __int128>(lo) * bound_ >> 64;
+            return static_cast<uint64_t>(
+                (static_cast<unsigned __int128>(hi) * bound_ + carry) >>
+                64);
+        }
+    }
+}
+
 } // namespace chameleon

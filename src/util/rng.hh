@@ -61,6 +61,32 @@ class Rng
     uint64_t s_[4];
 };
 
+/**
+ * Rng::below() against one bound, with the per-call work hoisted.
+ *
+ * below(n) computes its rejection threshold (-n % n) and the
+ * remainder r % n with two 64-bit divisions per draw. A FixedBound
+ * computes the threshold once, and replaces the remainder by
+ * Lemire's fastmod (Lemire, Kaser & Kurz, "Faster Remainder by
+ * Direct Computation", 2019): with M = ceil(2^128 / n),
+ * r % n == ((M * r) mod 2^128) * n >> 128 for every 64-bit r.
+ * draw(rng) makes the same next() calls as rng.below(bound) and
+ * returns the same value, for every bound in [1, 2^64).
+ */
+class FixedBound
+{
+  public:
+    explicit FixedBound(uint64_t bound);
+
+    /** Uniform integer in [0, bound); equals rng.below(bound). */
+    uint64_t draw(Rng &rng) const;
+
+  private:
+    uint64_t bound_;
+    uint64_t threshold_;
+    unsigned __int128 reciprocal_;
+};
+
 } // namespace chameleon
 
 #endif // CHAMELEON_UTIL_RNG_HH_

@@ -414,14 +414,21 @@ TEST(Scenario, ValidateNamesTheField)
     ScenarioSpec failed = spec;
     failed.failedNodes = failed.cluster.numNodes;
     expectInvalid(failed, "failed_nodes");
-    failed.failedNodes = failed.cluster.numNodes - 1;
+    // RS(10,4) on 20 nodes: 14 chunks per stripe plus the failed
+    // nodes must leave a live node outside every stripe.
+    failed.failedNodes = 7;
+    expectInvalid(failed, "cluster.nodes");
+    failed.failedNodes = 6;
     EXPECT_TRUE(failed.validate());
 
-    // RS(10,4) places 14 chunks per stripe on distinct nodes.
+    // RS(10,4) places 14 chunks per stripe on distinct nodes, and a
+    // repair needs one more.
     ScenarioSpec narrow = spec;
     narrow.cluster.numNodes = 13;
     expectInvalid(narrow, "cluster.nodes");
     narrow.cluster.numNodes = 14;
+    expectInvalid(narrow, "cluster.nodes");
+    narrow.cluster.numNodes = 15;
     EXPECT_TRUE(narrow.validate());
 
     ScenarioSpec wide = spec;

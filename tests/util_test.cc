@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the util module: RNG determinism and uniformity,
- * distribution shapes, percentile math, and windowed bandwidth
- * accounting.
+ * fixed-bound draws against below(), distribution shapes,
+ * percentile math, and windowed bandwidth accounting.
  */
 
 #include <algorithm>
@@ -85,6 +85,64 @@ TEST(Rng, ExponentialMean)
     for (int i = 0; i < n; ++i)
         sum += rng.exponential(2.5);
     EXPECT_NEAR(sum / n, 2.5, 0.05);
+}
+
+TEST(FixedBound, DrawEqualsBelowAndLeavesSameState)
+{
+    // Stripe widths and cluster sizes, 2^31 - 1, the ends of the
+    // 64-bit range and every power of two.
+    std::vector<uint64_t> bounds = {
+        1, 2, 3, 5, 7, 10, 14, 999, 1000, 1001, 5000, 65535,
+        (1ull << 31) - 1, (1ull << 32) - 1, (1ull << 32) + 1,
+        (1ull << 63) - 1, (1ull << 63) + 1, ~0ull};
+    for (int b = 0; b < 64; ++b)
+        bounds.push_back(1ull << b);
+    // Random bounds of every width, from 1 bit to 64.
+    Rng pick(2024);
+    for (int bits = 1; bits <= 64; ++bits) {
+        for (int i = 0; i < 4; ++i) {
+            const uint64_t v = bits == 64 ? pick.next()
+                                          : pick.next() >> (64 - bits);
+            bounds.push_back(std::max<uint64_t>(v, 1));
+        }
+    }
+    for (uint64_t bound : bounds) {
+        const FixedBound fixed(bound);
+        for (uint64_t seed = 1; seed <= 24; ++seed) {
+            Rng legacy(seed * 0x9E37 + bound);
+            Rng hoisted(seed * 0x9E37 + bound);
+            for (int i = 0; i < 64; ++i)
+                ASSERT_EQ(fixed.draw(hoisted), legacy.below(bound))
+                    << "bound " << bound << " seed " << seed << " draw "
+                    << i;
+            // Same number of next() calls: the streams stay aligned.
+            ASSERT_EQ(hoisted.next(), legacy.next())
+                << "bound " << bound << " seed " << seed;
+        }
+    }
+}
+
+TEST(FixedBound, LongStreamsHitBothEndsOfTheRange)
+{
+    // A reciprocal off by one goes wrong where r % bound is 0 or
+    // bound - 1; long streams reach both many times for small
+    // bounds.
+    for (uint64_t bound : {3ull, 1000ull, 5000ull, (1ull << 31) - 1,
+                           (1ull << 32) - 5}) {
+        const FixedBound fixed(bound);
+        Rng a(bound), b(bound);
+        int zeros = 0, tops = 0;
+        for (int i = 0; i < 200000; ++i) {
+            const uint64_t v = fixed.draw(a);
+            ASSERT_EQ(v, b.below(bound)) << "bound " << bound;
+            zeros += v == 0;
+            tops += v == bound - 1;
+        }
+        if (bound <= 5000) {
+            EXPECT_GT(zeros, 0) << "bound " << bound;
+            EXPECT_GT(tops, 0) << "bound " << bound;
+        }
+    }
 }
 
 TEST(Rng, SplitDecorrelates)
