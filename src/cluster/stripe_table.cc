@@ -20,6 +20,9 @@ StripeTable::StripeTable(std::shared_ptr<const ec::ErasureCode> code,
     CHAMELEON_ASSERT(n_ <= 64,
                      "StripeTable lost-bitmask supports n <= 64, got ",
                      n_);
+    CHAMELEON_ASSERT(num_nodes <= kMaxNodes,
+                     "StripeTable's 16-bit placement addresses at most ",
+                     kMaxNodes, " nodes, got ", num_nodes);
     nodeFlags_.assign(static_cast<std::size_t>(numNodes_), 0);
     nodeIndex_.resize(static_cast<std::size_t>(numNodes_));
     hostStamp_.assign(static_cast<std::size_t>(numNodes_), 0);
@@ -39,9 +42,11 @@ StripeTable::createStripes(int count, Rng &rng)
     const auto n = static_cast<std::size_t>(n_);
     const std::size_t base = lostBits_.size();
     const std::size_t total = base + static_cast<std::size_t>(count);
+    CHAMELEON_ASSERT(total * n <= kMaxSlots, total, " stripes of ",
+                     code_->name(), " exceed the reverse index's ",
+                     kMaxSlots, " packed slots");
     placement_.resize(total * n);
     lostBits_.resize(total, 0);
-    corruptBits_.resize(total, 0);
     gen_.resize(total, 0);
     state_.resize(total, static_cast<uint8_t>(StripeHealth::kHealthy));
     misplaced_.resize(total, 0);
@@ -96,7 +101,7 @@ StripeTable::location(StripeId stripe, ChunkIndex chunk) const
     checkStripe(stripe);
     CHAMELEON_ASSERT(chunk >= 0 && chunk < n_, "bad chunk index ",
                      chunk);
-    return placement_[slot(stripe, chunk)];
+    return static_cast<NodeId>(placement_[slot(stripe, chunk)]);
 }
 
 uint64_t
@@ -134,7 +139,8 @@ StripeTable::relocate(StripeId stripe, ChunkIndex chunk, NodeId node)
                             " which hosts live chunk ", c);
         }
     }
-    placement_[base + static_cast<std::size_t>(chunk)] = node;
+    placement_[base + static_cast<std::size_t>(chunk)] =
+        static_cast<uint16_t>(node);
     if (allIndexed_ || node == soleIndexed_)
         nodeIndex_[static_cast<std::size_t>(node)].push_back(
             static_cast<uint32_t>(slot(stripe, chunk)));
@@ -194,7 +200,7 @@ StripeTable::markCorrupt(StripeId stripe, ChunkIndex chunk)
     CHAMELEON_ASSERT(chunk >= 0 && chunk < n_, "bad chunk index ",
                      chunk);
     const uint64_t bit = uint64_t{1} << chunk;
-    auto &bits = corruptBits_[static_cast<std::size_t>(stripe)];
+    uint64_t &bits = corrupt_[stripe];
     if (!(bits & bit)) {
         bits |= bit;
         ++corruptCount_;
@@ -207,27 +213,35 @@ void
 StripeTable::clearCorrupt(StripeId stripe, ChunkIndex chunk)
 {
     checkStripe(stripe);
+    if (corruptCount_ == 0)
+        return;
+    const auto it = corrupt_.find(stripe);
     const uint64_t bit = uint64_t{1} << chunk;
-    auto &bits = corruptBits_[static_cast<std::size_t>(stripe)];
-    if (bits & bit) {
-        bits &= ~bit;
-        --corruptCount_;
+    if (it == corrupt_.end() || !(it->second & bit))
+        return;
+    it->second &= ~bit;
+    --corruptCount_;
+    if (it->second == 0) {
+        corrupt_.erase(it);
+        if (corrupt_.empty())
+            decltype(corrupt_)().swap(corrupt_);
     }
 }
 
 bool
 StripeTable::chunkCorrupt(StripeId stripe, ChunkIndex chunk) const
 {
-    checkStripe(stripe);
-    return (corruptBits_[static_cast<std::size_t>(stripe)] >> chunk &
-            1) != 0;
+    return (corruptMask(stripe) >> chunk & 1) != 0;
 }
 
 uint64_t
 StripeTable::corruptMask(StripeId stripe) const
 {
     checkStripe(stripe);
-    return corruptBits_[static_cast<std::size_t>(stripe)];
+    if (corruptCount_ == 0)
+        return 0;
+    const auto it = corrupt_.find(stripe);
+    return it == corrupt_.end() ? 0 : it->second;
 }
 
 void
@@ -512,9 +526,8 @@ StripeTable::clearMisplaced(StripeId stripe)
 std::size_t
 StripeTable::memoryBytes() const
 {
-    std::size_t bytes = placement_.capacity() * sizeof(NodeId) +
+    std::size_t bytes = placement_.capacity() * sizeof(uint16_t) +
                         lostBits_.capacity() * sizeof(uint64_t) +
-                        corruptBits_.capacity() * sizeof(uint64_t) +
                         gen_.capacity() * sizeof(uint32_t) +
                         state_.capacity() * sizeof(uint8_t) +
                         misplaced_.capacity() * sizeof(uint8_t) +
@@ -524,6 +537,11 @@ StripeTable::memoryBytes() const
                         draws_.capacity() * sizeof(FixedBound) +
                         nodeIndex_.capacity() *
                             sizeof(std::vector<uint32_t>);
+    // Side-table entries are one node each: a next pointer and the
+    // (stripe, mask) pair.
+    bytes += corrupt_.bucket_count() * sizeof(void *) +
+             corrupt_.size() *
+                 (sizeof(void *) + sizeof(decltype(corrupt_)::value_type));
     for (const auto &list : nodeIndex_)
         bytes += list.capacity() * sizeof(uint32_t);
     return bytes;

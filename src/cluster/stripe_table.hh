@@ -12,23 +12,30 @@
  * cluster at paper scale. StripeTable keeps the same state in
  * parallel arrays indexed by stripe id:
  *
- *   placement_  flat NodeId array, slot = stripe * n + chunk
+ *   placement_  flat 16-bit node-id array, slot = stripe * n + chunk
+ *               (so a table addresses at most kMaxNodes = 65,536
+ *               nodes)
  *   lostBits_   one uint64_t lost-bitmask per stripe (n <= 64)
- *   corruptBits_ one uint64_t bit-rot mask per stripe (silent;
- *               promoted to lost on scrub/verify detection)
  *   gen_        per-stripe generation, bumped on any mutation
  *   state_      scanner-assigned health classification
  *   misplaced_  placement-policy violation flag (balancer input)
  *
- * No per-stripe heap objects exist: 4*n + 22 bytes per stripe
- * before any node's chunks are asked for, and the documented budget
- * of <= 16*n + 64 once the reverse index covers every node, vector
- * growth slack included (see memoryBytes()).
+ * Bit-rot masks (silent; promoted to lost on scrub/verify
+ * detection) live in a side table, corrupt_, that holds only the
+ * stripes with a corrupt chunk, so runs without bit rot pay nothing
+ * for them.
+ *
+ * No per-stripe heap objects exist: 2*n + 14 bytes per stripe
+ * before any node's chunks are asked for (42 at RS(10,4)). The
+ * reverse index adds 4*n once it covers every node, 6*n + 14 in
+ * all; the documented budget, vector growth slack included, is
+ * <= 12*n + 32 (see memoryBytes()).
  *
  * Two scale-oriented extensions over a per-stripe representation:
  *
- * - A per-node reverse index (packed `stripe * n + chunk` slots),
- *   built on demand, makes repeated failNode()/chunksOnNode() calls
+ * - A per-node reverse index (`stripe * n + chunk` slots packed in
+ *   32 bits, so a table holds at most kMaxSlots = 2^32), built on
+ *   demand, makes repeated failNode()/chunksOnNode() calls
  *   proportional to the node's chunk count instead of
  *   O(stripes * n). The first node asked for gets its list from
  *   one pass over the placement; a second one makes that pass fill
@@ -52,6 +59,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "ec/code.hh"
@@ -88,6 +96,11 @@ enum class StripeHealth : uint8_t
 class StripeTable
 {
   public:
+    /** Placement stores node ids in 16 bits. */
+    static constexpr int kMaxNodes = 1 << 16;
+    /** Reverse-index entries pack `stripe * n + chunk` in 32 bits. */
+    static constexpr uint64_t kMaxSlots = uint64_t{1} << 32;
+
     StripeTable(std::shared_ptr<const ec::ErasureCode> code,
                 int num_nodes);
 
@@ -223,10 +236,11 @@ class StripeTable
     void markMisplaced(StripeId stripe);
     void clearMisplaced(StripeId stripe);
 
-    /** Bytes held by all metadata arrays (capacity-based), including
-     * whatever of the reverse index exists. Divide by stripeCount()
-     * for bytes/stripe: 4*n + 22 with no index, budget <= 16*n + 64
-     * with every node's list. */
+    /** Bytes held by all metadata arrays (capacity-based), the
+     * corruption side table's entries and buckets, and whatever of
+     * the reverse index exists. Divide by stripeCount() for
+     * bytes/stripe: 2*n + 14 with no index and no corruption,
+     * budget <= 12*n + 32 with every node's list. */
     std::size_t memoryBytes() const;
 
   private:
@@ -253,12 +267,16 @@ class StripeTable
     int n_; // code_->n(), cached (== chunks per stripe)
 
     // --- parallel per-stripe arrays (the SoA core) ---
-    std::vector<NodeId> placement_;    // stripe * n + chunk
-    std::vector<uint64_t> lostBits_;   // per stripe
-    std::vector<uint64_t> corruptBits_; // per stripe (bit rot)
+    std::vector<uint16_t> placement_; // stripe * n + chunk
+    std::vector<uint64_t> lostBits_;  // per stripe
     std::vector<uint32_t> gen_;       // per stripe
     std::vector<uint8_t> state_;      // StripeHealth per stripe
     std::vector<uint8_t> misplaced_;  // 0/1 per stripe
+
+    /** Nonzero bit-rot masks by stripe; looked up only, never
+     * iterated. Emptied entries are erased, and the buckets are
+     * released when the last one goes. */
+    std::unordered_map<StripeId, uint64_t> corrupt_;
 
     // --- per-node state ---
     std::vector<uint8_t> nodeFlags_;

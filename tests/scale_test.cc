@@ -8,7 +8,8 @@
  * StripeTable placement against the legacy below() loop, its
  * on-demand reverse index against a brute-force scan, the scanner's
  * healthy-run sweep against a per-stripe oracle, the misplaced tier,
- * the StripeTable memory budget at 10^6 stripes, and a regression
+ * its sparse corruption masks against a dense oracle, the
+ * StripeTable memory budget at 10^6 stripes, and a regression
  * guard that per-event solver work stays flat as the cluster grows.
  */
 
@@ -23,6 +24,7 @@
 #include <memory>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/repair_queue.hh"
@@ -522,10 +524,13 @@ placementOf(const StripeTable &t)
 
 TEST(ScalePlacement, MatchesLegacyBelowLoop)
 {
+    // The largest cluster a table addresses: ids above 32,767 must
+    // survive the 16-bit placement unsigned and whole.
+    const int widest = StripeTable::kMaxNodes;
     for (const char *spec : {"rs(10,4)", "lrc(12,2,2)", "rep(3)"}) {
         auto code = ec::makeCode(spec);
         const int n = code->n();
-        for (int nodes : {n, n + 1, 20, 97, 1000}) {
+        for (int nodes : {n, n + 1, 20, 97, 1000, widest}) {
             SCOPED_TRACE(std::string(spec) + " on " +
                          std::to_string(nodes) + " nodes");
             const int count = nodes == 1000 ? 2000 : 300;
@@ -538,6 +543,10 @@ TEST(ScalePlacement, MatchesLegacyBelowLoop)
             bulk.createStripes(count, bulk_rng);
             EXPECT_EQ(placementOf(bulk), want);
             EXPECT_EQ(bulk_rng.next(), Rng(oracle_rng).next());
+            if (nodes == widest) {
+                EXPECT_GT(*std::max_element(want.begin(), want.end()),
+                          32767);
+            }
 
             // Growth one stripe at a time, as the runtime's default
             // placement loop does, with node 0's list kept.
@@ -1000,16 +1009,103 @@ TEST(ScaleScanner, MisplacedStripesDrainAfterLossTiers)
     EXPECT_TRUE(queue.idle());
 }
 
+// --- sparse corruption masks ----------------------------------------
+
+TEST(ScaleCorruption, SparseMasksMatchDenseOracle)
+{
+    // Random markCorrupt / clearCorrupt / markRepaired sequences
+    // against a dense mask per stripe. Each round fills the side
+    // table (one stripe at first, so a single live mask is probed
+    // too) and then clears every bit; once nothing is corrupt the
+    // table must hold exactly what it held before any corruption.
+    auto code = ec::makeRs(6, 3);
+    const int n = code->n();
+    const int count = 64;
+    StripeTable t(code, 30);
+    Rng rng(2024);
+    t.createStripes(count, rng);
+    const std::size_t clean = t.memoryBytes();
+    std::vector<uint64_t> oracle(static_cast<std::size_t>(count), 0);
+
+    auto expectMatches = [&] {
+        int corrupt = 0;
+        for (StripeId s = 0; s < count; ++s) {
+            const uint64_t want = oracle[static_cast<std::size_t>(s)];
+            ASSERT_EQ(t.corruptMask(s), want) << "stripe " << s;
+            for (ChunkIndex c = 0; c < n; ++c)
+                ASSERT_EQ(t.chunkCorrupt(s, c), (want >> c & 1) != 0)
+                    << "stripe " << s << " chunk " << c;
+            corrupt += std::popcount(want);
+        }
+        ASSERT_EQ(t.corruptCount(), corrupt);
+        if (corrupt == 0)
+            ASSERT_EQ(t.memoryBytes(), clean);
+        else
+            ASSERT_GT(t.memoryBytes(), clean);
+    };
+
+    for (int round = 0; round < 6; ++round) {
+        SCOPED_TRACE("round " + std::to_string(round));
+        const int spread = round == 0 ? 1 : round * 12;
+        for (int step = 0; step < 300; ++step) {
+            const auto s = static_cast<StripeId>(
+                rng.below(static_cast<uint64_t>(spread)));
+            const auto c = static_cast<ChunkIndex>(
+                rng.below(static_cast<uint64_t>(n)));
+            const uint64_t bit = uint64_t{1} << c;
+            uint64_t &want = oracle[static_cast<std::size_t>(s)];
+            switch (rng.below(4)) {
+            case 0:
+            case 1:
+                t.markCorrupt(s, c);
+                want |= bit;
+                break;
+            case 2:
+                t.clearCorrupt(s, c);
+                want &= ~bit;
+                break;
+            default:
+                t.markLost(s, c);
+                t.markRepaired(s, c);
+                want &= ~bit;
+                ASSERT_FALSE(t.chunkLost(s, c));
+                break;
+            }
+            expectMatches();
+        }
+        // Drain every remaining bit, in random order across stripes.
+        std::vector<std::pair<StripeId, ChunkIndex>> left;
+        for (StripeId s = 0; s < count; ++s)
+            for (ChunkIndex c = 0; c < n; ++c)
+                if (oracle[static_cast<std::size_t>(s)] >> c & 1)
+                    left.emplace_back(s, c);
+        for (std::size_t i = left.size(); i > 1; --i)
+            std::swap(left[i - 1], left[rng.below(i)]);
+        for (const auto &[s, c] : left) {
+            if (rng.below(2) == 0)
+                t.clearCorrupt(s, c);
+            else
+                t.markRepaired(s, c);
+            oracle[static_cast<std::size_t>(s)] &= ~(uint64_t{1} << c);
+            expectMatches();
+        }
+        ASSERT_EQ(t.corruptCount(), 0);
+        ASSERT_EQ(t.memoryBytes(), clean);
+    }
+}
+
 // --- memory budget -------------------------------------------------
 
 TEST(ScaleMemory, MillionStripesStayUnderDocumentedBudget)
 {
     // 1000 nodes, 10^6 stripes of RS(10,4). Before any node's chunks
     // are asked for, the table holds only its per-stripe arrays
-    // (4*n bytes of placement and 22 of lost/corrupt/gen/state/
-    // misplaced): at most 4*n + 32 bytes per stripe. Once a second
-    // node is asked for, every node's reverse-index list exists and
-    // the documented budget is 16*n + 64, capacity included.
+    // (2*n bytes of 16-bit placement and 14 of lost/gen/state/
+    // misplaced; corruption masks live in a side table that is empty
+    // here): 2*n + 14 bytes per stripe, at most 2*n + 16 with the
+    // per-node arrays. Once a second node is asked for, every node's
+    // reverse-index list exists (4*n more) and the documented budget
+    // is 12*n + 32, capacity included.
     auto code = ec::makeRs(10, 4);
     const int n = code->n();
     StripeTable stripes(code, 1000);
@@ -1019,7 +1115,9 @@ TEST(ScaleMemory, MillionStripesStayUnderDocumentedBudget)
     ASSERT_EQ(stripes.stripeCount(), count);
     const double unindexed =
         static_cast<double>(stripes.memoryBytes()) / count;
-    EXPECT_LE(unindexed, 4.0 * n + 32.0)
+    EXPECT_GE(unindexed, 2.0 * n + 14.0)
+        << "memoryBytes() misses a per-stripe array";
+    EXPECT_LE(unindexed, 2.0 * n + 16.0)
         << "StripeTable spends " << unindexed
         << " bytes/stripe before any query";
     stripes.chunksOnNode(0);
@@ -1028,7 +1126,7 @@ TEST(ScaleMemory, MillionStripesStayUnderDocumentedBudget)
         static_cast<double>(stripes.memoryBytes()) / count;
     EXPECT_GT(indexed, unindexed + 4.0 * n - 1.0)
         << "every node's list should exist after a second query";
-    EXPECT_LE(indexed, 16.0 * n + 64.0)
+    EXPECT_LE(indexed, 12.0 * n + 32.0)
         << "StripeTable spends " << indexed
         << " bytes/stripe, over the documented budget";
 }
