@@ -4,6 +4,7 @@
 #include <set>
 #include <sstream>
 
+#include "cluster/stripe_table.hh"
 #include "ec/factory.hh"
 #include "telemetry/json.hh"
 #include "util/format.hh"
@@ -690,8 +691,9 @@ ScenarioSpec::validate(std::string *error) const
         return fail("chameleon.t_phase must be > 0");
     if (chameleon.checkPeriod <= 0)
         return fail("chameleon.check_period must be > 0");
-    // Stripe width: StripeTable tracks each stripe's lost and
-    // corrupt chunks in 64-bit masks, and places one chunk per node.
+    // What StripeTable can address: each stripe's lost and corrupt
+    // chunks as bits of a 64-bit mask, node ids in 16 bits, and
+    // reverse-index slots (stripe * width + chunk) in 32 bits.
     std::string code_error;
     const auto parsed = tryParseCode(code, &code_error);
     if (!parsed)
@@ -700,6 +702,18 @@ ScenarioSpec::validate(std::string *error) const
     if (width > 64)
         return fail("code '" + code + "' has " + std::to_string(width) +
                     " chunks per stripe; at most 64 are supported");
+    if (cluster.numNodes > cluster::StripeTable::kMaxNodes)
+        return fail("cluster.nodes is " +
+                    std::to_string(cluster.numNodes) + "; at most " +
+                    std::to_string(cluster::StripeTable::kMaxNodes) +
+                    " are supported (16-bit node ids)");
+    const uint64_t max_stripes =
+        cluster::StripeTable::kMaxSlots / static_cast<uint64_t>(width);
+    if (static_cast<uint64_t>(stripes) > max_stripes)
+        return fail("stripes is " + std::to_string(stripes) +
+                    "; code '" + code + "' fits at most " +
+                    std::to_string(max_stripes) +
+                    " stripes in 2^32 chunk slots");
     // A stripe that loses one chunk keeps width - 1 chunks on live
     // nodes, and its repair needs one more live node outside it:
     // nodes - failed_nodes >= width.

@@ -3,7 +3,8 @@
  * Runtime-layer tests: ScenarioSpec JSON round-trips and rejection of
  * malformed input, splitmix seed derivation, SweepRunner determinism
  * (-j1 == -j8, the byte-identical-tables contract), ordered emission,
- * and per-run telemetry scoping.
+ * per-run telemetry scoping, and repair-driver runs that reach a
+ * monitor blackout and a replicated code's helper pool.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "ec/factory.hh"
 #include "runtime/runtime.hh"
 #include "runtime/scenario.hh"
 #include "runtime/sweep.hh"
@@ -438,6 +440,20 @@ TEST(Scenario, ValidateNamesTheField)
     wide.code = "rs(40,8)";
     wide.cluster.numNodes = 60;
     EXPECT_TRUE(wide.validate());
+
+    // StripeTable stores node ids in 16 bits...
+    ScenarioSpec huge = spec;
+    huge.cluster.numNodes = 65536;
+    EXPECT_TRUE(huge.validate());
+    huge.cluster.numNodes = 65537;
+    expectInvalid(huge, "cluster.nodes");
+
+    // ...and packs stripe * 14 + chunk (RS(10,4)) in 32 bits.
+    ScenarioSpec slots = spec;
+    slots.stripes = 306783378;
+    EXPECT_TRUE(slots.validate());
+    slots.stripes = 306783379;
+    expectInvalid(slots, "stripes");
 }
 
 TEST(Scenario, StragglerGrammarRoundTrips)
@@ -626,6 +642,69 @@ TEST(TelemetryScope, RuntimeCapturesIsolatedTelemetry)
     // checked indirectly: the captured registry is non-empty).
     EXPECT_FALSE(
         isolated.runTelemetry()->metrics.snapshot().samples.empty());
+}
+
+/** One run with its own telemetry: the result and its metrics. */
+std::pair<ExperimentResult, telemetry::MetricsSnapshot>
+runIsolated(Algorithm algorithm, const ExperimentConfig &cfg)
+{
+    RuntimeOptions opts;
+    opts.isolateTelemetry = true;
+    Runtime rt(algorithm, cfg, opts);
+    ExperimentResult res = rt.run();
+    return {res, rt.runTelemetry()->metrics.snapshot()};
+}
+
+double
+metricValue(const telemetry::MetricsSnapshot &snap, const char *name)
+{
+    const auto *sample = snap.find(name);
+    return sample ? sample->value : 0.0;
+}
+
+TEST(RepairDriverRuns, BlackoutStopsMonitorSamplingForItsWindow)
+{
+    // The monitor samples every 5 s from t = 0, and faults count from
+    // the end of the 16 s warm-up. A blackout from 18 s to 30 s stops
+    // the monitor before the samples at 20 and 25 and restarts it at
+    // 30, whose next sample (35) keeps the original phase: the run
+    // loses exactly the three sample instants inside the window.
+    // Without foreground traffic a stale estimate equals a fresh one,
+    // so the repair itself must not change. 100 chunks keep the
+    // repair going past the first sample after the window.
+    ExperimentConfig cfg = tinyConfig(false);
+    cfg.chunksToRepair = 100;
+    const auto [plain, plain_metrics] =
+        runIsolated(Algorithm::kChameleon, cfg);
+    cfg.faults = fault::FaultSchedule::parse("blackout@2:dur=12");
+    const auto [dark, dark_metrics] =
+        runIsolated(Algorithm::kChameleon, cfg);
+
+    EXPECT_EQ(metricValue(dark_metrics, "fault.blackouts"), 1.0);
+    EXPECT_EQ(dark.faultsInjected, 1);
+    EXPECT_GT(16.0 + plain.repairTime, 35.0);
+    EXPECT_EQ(metricValue(plain_metrics, "monitor.samples") -
+                  metricValue(dark_metrics, "monitor.samples"),
+              3.0);
+    EXPECT_EQ(dark.chunksRepaired, 100);
+    EXPECT_EQ(dark.repairTime, plain.repairTime);
+}
+
+TEST(RepairDriverRuns, ReplicatedCodeRepairsEveryChunk)
+{
+    // rep(3) answers the drivers' helper-pool gate with any one
+    // surviving replica.
+    ExperimentConfig cfg = tinyConfig(false);
+    cfg.code = ec::makeCode("rep(3)");
+    cfg.chunksToRepair = 5;
+    for (Algorithm algorithm : {Algorithm::kChameleon, Algorithm::kCr}) {
+        SCOPED_TRACE(algorithmName(algorithm));
+        Runtime rt(algorithm, cfg);
+        const ExperimentResult res = rt.run();
+        EXPECT_EQ(res.chunksRepaired, 5);
+        EXPECT_EQ(res.chunksUnrecoverable, 0);
+        EXPECT_GT(res.repairThroughput, 0.0);
+    }
 }
 
 } // namespace
