@@ -9,15 +9,22 @@
  * derivation the runtime uses, so the cell checks that the scanner
  * discovered and repaired exactly the hosted set. The standalone
  * StripeTable of each cell, after that one chunksOnNode(0) query
- * (so the reverse index holds node 0's list only: about 4*n + 22
- * bytes/stripe), is also measured against its documented
- * <= 16*n + 64 bytes/stripe budget.
+ * (so the reverse index holds node 0's list only: about 2*n + 14
+ * bytes/stripe, 42 at RS(10,4)), is also measured against its
+ * documented <= 12*n + 32 bytes/stripe budget.
+ *
+ * A full run times each cell's Runtime::run three times, each on a
+ * fresh Runtime, and records wall seconds and events/sec as the
+ * median with min and max; every run must repeat the first one's
+ * events, chunks, and solver and queue counters exactly. --smoke
+ * times each cell once.
  *
  * Results go to BENCH_scale.json (events/sec and peak-RSS rows, in
  * the micro_sim style). Exit code: non-zero if any cell fails its
  * checks; the rates are recorded, not asserted.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -60,10 +67,10 @@ struct Cell
     int stripes = 0;
 };
 
-struct CellResult
+/** What one timed run of a cell reports; everything but the wall
+ * time is deterministic. */
+struct RunCounters
 {
-    Cell cell;
-    long long expectedChunks = 0;
     long long chunksRepaired = 0;
     long long unrecoverable = 0;
     long long events = 0;
@@ -71,15 +78,75 @@ struct CellResult
     long long queueMemoSkips = 0;
     long long rateRecomputes = 0;
     long long recomputeFlowVisits = 0;
-    double seconds = 0.0;
-    double eventsPerSec = 0.0;
-    double bytesPerStripe = 0.0;
-    double peakRss = 0.0;
     double repairTime = 0.0;
+
+    bool operator==(const RunCounters &o) const = default;
 };
 
+struct CellResult
+{
+    Cell cell;
+    long long expectedChunks = 0;
+    RunCounters counters;
+    /** Runs after the first whose counters differ from its. */
+    int divergentRuns = 0;
+    /** Wall seconds of each timed run, sorted ascending. */
+    std::vector<double> seconds;
+    double bytesPerStripe = 0.0;
+    double peakRss = 0.0;
+
+    double medianSeconds() const { return seconds[seconds.size() / 2]; }
+    double eventsPerSec(double secs) const
+    {
+        return secs > 0 ? counters.events / secs : 0.0;
+    }
+};
+
+/** One fresh Runtime::run of `cfg`, timed. */
+RunCounters
+timedRun(const runtime::ExperimentConfig &cfg, double *seconds)
+{
+    runtime::RuntimeOptions opts;
+    opts.isolateTelemetry = true;
+    runtime::Runtime rt(runtime::Algorithm::kCr, cfg, opts);
+    const auto start = std::chrono::steady_clock::now();
+    const runtime::ExperimentResult res = rt.run();
+    *seconds = std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - start)
+                   .count();
+    RunCounters r;
+    r.chunksRepaired = res.chunksRepaired;
+    r.unrecoverable = res.chunksUnrecoverable;
+    r.repairTime = res.repairTime;
+    const auto snap = rt.runTelemetry()->metrics.snapshot();
+    if (const auto *ev = snap.find("sim.events_executed"))
+        r.events = static_cast<long long>(ev->value);
+    // Admission-scan work: scan_steps pays a helper-set derivation
+    // (allocation + code-pool walk) per step; memo_skips are O(1)
+    // saturation-memo hits. Their ratio explains where pop() time
+    // goes when the queue is deep and node-saturated (the 50-node
+    // cell: ~2.8k chunks queued behind maxNodeJobs=2 on 50 nodes,
+    // 1.0M scans amortized by 3.9M memo skips).
+    if (const auto *ss = snap.find("repair.queue.scan_steps"))
+        r.queueScanSteps = static_cast<long long>(ss->value);
+    if (const auto *ms = snap.find("repair.queue.memo_skips"))
+        r.queueMemoSkips = static_cast<long long>(ms->value);
+    // Solver work: flow visits per recompute is the per-event cost
+    // knob. The 200-node cell's low events/sec is solver-bound, not
+    // queue-bound — its (nodes, in-flight caps) point maximizes how
+    // many repair flows share each max-min component, so every flow
+    // completion re-rates a larger component than at 50 nodes
+    // (fewer resources total) or 1000+ nodes (repairs spread out and
+    // stop overlapping). See the bench description in the JSON.
+    if (const auto *rr = snap.find("sim.rate_recomputes"))
+        r.rateRecomputes = static_cast<long long>(rr->value);
+    if (const auto *fv = snap.find("sim.rate_recompute_flow_visits"))
+        r.recomputeFlowVisits = static_cast<long long>(fv->value);
+    return r;
+}
+
 CellResult
-runCell(const Cell &cell)
+runCell(const Cell &cell, int timed_runs)
 {
     CellResult r;
     r.cell = cell;
@@ -116,42 +183,16 @@ runCell(const Cell &cell)
             cell.stripes;
     }
 
-    runtime::RuntimeOptions opts;
-    opts.isolateTelemetry = true;
-    runtime::Runtime rt(runtime::Algorithm::kCr, cfg, opts);
-    const auto start = std::chrono::steady_clock::now();
-    const runtime::ExperimentResult res = rt.run();
-    r.seconds = std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-    r.chunksRepaired = res.chunksRepaired;
-    r.unrecoverable = res.chunksUnrecoverable;
-    r.repairTime = res.repairTime;
-    const auto snap = rt.runTelemetry()->metrics.snapshot();
-    if (const auto *ev = snap.find("sim.events_executed"))
-        r.events = static_cast<long long>(ev->value);
-    // Admission-scan work: scan_steps pays a helper-set derivation
-    // (allocation + code-pool walk) per step; memo_skips are O(1)
-    // saturation-memo hits. Their ratio explains where pop() time
-    // goes when the queue is deep and node-saturated (the 50-node
-    // cell: ~2.8k chunks queued behind maxNodeJobs=2 on 50 nodes,
-    // 1.0M scans amortized by 3.9M memo skips).
-    if (const auto *ss = snap.find("repair.queue.scan_steps"))
-        r.queueScanSteps = static_cast<long long>(ss->value);
-    if (const auto *ms = snap.find("repair.queue.memo_skips"))
-        r.queueMemoSkips = static_cast<long long>(ms->value);
-    // Solver work: flow visits per recompute is the per-event cost
-    // knob. The 200-node cell's low events/sec is solver-bound, not
-    // queue-bound — its (nodes, in-flight caps) point maximizes how
-    // many repair flows share each max-min component, so every flow
-    // completion re-rates a larger component than at 50 nodes
-    // (fewer resources total) or 1000+ nodes (repairs spread out and
-    // stop overlapping). See the bench description in the JSON.
-    if (const auto *rr = snap.find("sim.rate_recomputes"))
-        r.rateRecomputes = static_cast<long long>(rr->value);
-    if (const auto *fv = snap.find("sim.rate_recompute_flow_visits"))
-        r.recomputeFlowVisits = static_cast<long long>(fv->value);
-    r.eventsPerSec = r.seconds > 0 ? r.events / r.seconds : 0.0;
+    for (int run = 0; run < timed_runs; ++run) {
+        double secs = 0.0;
+        const RunCounters counters = timedRun(cfg, &secs);
+        if (run == 0)
+            r.counters = counters;
+        else if (!(counters == r.counters))
+            ++r.divergentRuns;
+        r.seconds.push_back(secs);
+    }
+    std::sort(r.seconds.begin(), r.seconds.end());
     r.peakRss = peakRssBytes();
     return r;
 }
@@ -163,6 +204,7 @@ main(int argc, char **argv)
 {
     init(argc, argv);
     const bool smoke = opts().smoke;
+    const int timed_runs = smoke ? 1 : 3;
 
     // Smallest first so the peak-RSS high-water mark per row is the
     // row's own footprint.
@@ -176,37 +218,46 @@ main(int argc, char **argv)
                  {5000, 1000000}};
     }
 
-    const int budget_n = 14; // RS(10,4)
+    // RS(10,4): the documented every-node budget of 12*n + 32.
+    const double budget = 12.0 * 14 + 32.0;
     ShapeChecker chk;
     std::vector<CellResult> results;
     std::printf("fig_scale: scanner-path repair at cluster scale%s\n",
                 smoke ? " (smoke)" : "");
     for (const Cell &cell : cells) {
-        CellResult r = runCell(cell);
+        CellResult r = runCell(cell, timed_runs);
         results.push_back(r);
+        const RunCounters &c = r.counters;
         std::printf("  %5d nodes %8d stripes  %6lld chunks  "
-                    "%9lld events  %8.0f ev/s  %5.1f B/stripe  "
-                    "rss %6.0f MiB  qscan %lld qskip %lld  "
-                    "fv/rr %.1f\n",
-                    cell.nodes, cell.stripes, r.chunksRepaired,
-                    r.events, r.eventsPerSec, r.bytesPerStripe,
-                    r.peakRss / (1024.0 * 1024.0), r.queueScanSteps,
-                    r.queueMemoSkips,
-                    r.rateRecomputes > 0
-                        ? static_cast<double>(r.recomputeFlowVisits) /
-                              static_cast<double>(r.rateRecomputes)
+                    "%9lld events  %8.0f ev/s [%.0f-%.0f]  "
+                    "%5.1f B/stripe  rss %6.0f MiB  qscan %lld "
+                    "qskip %lld  fv/rr %.1f\n",
+                    cell.nodes, cell.stripes, c.chunksRepaired,
+                    c.events, r.eventsPerSec(r.medianSeconds()),
+                    r.eventsPerSec(r.seconds.back()),
+                    r.eventsPerSec(r.seconds.front()),
+                    r.bytesPerStripe, r.peakRss / (1024.0 * 1024.0),
+                    c.queueScanSteps, c.queueMemoSkips,
+                    c.rateRecomputes > 0
+                        ? static_cast<double>(c.recomputeFlowVisits) /
+                              static_cast<double>(c.rateRecomputes)
                         : 0.0);
         const std::string label = std::to_string(cell.nodes) +
                                   "n/" +
                                   std::to_string(cell.stripes) + "s";
-        chk.equals(label + " chunks repaired", r.chunksRepaired,
+        chk.equals(label + " chunks repaired", c.chunksRepaired,
                    r.expectedChunks);
-        chk.equals(label + " unrecoverable", r.unrecoverable, 0);
-        chk.positive(label + " events/sec", r.eventsPerSec);
+        chk.equals(label + " unrecoverable", c.unrecoverable, 0);
+        chk.positive(label + " events/sec",
+                     r.eventsPerSec(r.medianSeconds()));
+        chk.equals(label + " timed runs whose events, chunks or "
+                           "solver/queue counters differ from the "
+                           "first run's",
+                   r.divergentRuns, 0);
         chk.check(label + " bytes/stripe under budget (" +
                       std::to_string(r.bytesPerStripe) + " vs " +
-                      std::to_string(16 * budget_n + 64) + ")",
-                  r.bytesPerStripe <= 16.0 * budget_n + 64.0);
+                      std::to_string(budget) + ")",
+                  r.bytesPerStripe <= budget);
     }
 
     std::FILE *json = std::fopen("BENCH_scale.json", "w");
@@ -228,12 +279,15 @@ main(int argc, char **argv)
             "repairs until they stop overlapping; queue work is "
             "negligible there (queue_scan_steps 37k over 5.8M "
             "events, vs 1.0M scans + 3.9M memo skips at 50 "
-            "nodes)\",\n"
+            "nodes). wall_seconds and events_per_sec are the "
+            "median of timed_runs fresh runs, with min and max\",\n"
             "  \"smoke\": %s,\n"
+            "  \"timed_runs\": %d,\n"
             "  \"results\": [\n",
-            smoke ? "true" : "false");
+            smoke ? "true" : "false", timed_runs);
         for (std::size_t i = 0; i < results.size(); ++i) {
             const CellResult &r = results[i];
+            const RunCounters &c = r.counters;
             std::fprintf(
                 json,
                 "    {\"nodes\": %d, \"stripes\": %d,\n"
@@ -244,16 +298,24 @@ main(int argc, char **argv)
                 "     \"rate_recomputes\": %lld,\n"
                 "     \"recompute_flow_visits\": %lld,\n"
                 "     \"wall_seconds\": %s,\n"
+                "     \"wall_seconds_min\": %s,\n"
+                "     \"wall_seconds_max\": %s,\n"
                 "     \"events_per_sec\": %s,\n"
+                "     \"events_per_sec_min\": %s,\n"
+                "     \"events_per_sec_max\": %s,\n"
                 "     \"sim_repair_seconds\": %s,\n"
                 "     \"bytes_per_stripe\": %s,\n"
                 "     \"peak_rss_bytes\": %s}%s\n",
-                r.cell.nodes, r.cell.stripes, r.chunksRepaired,
-                r.events, r.queueScanSteps, r.queueMemoSkips,
-                r.rateRecomputes, r.recomputeFlowVisits,
-                formatDouble(r.seconds).c_str(),
-                formatDouble(r.eventsPerSec).c_str(),
-                formatDouble(r.repairTime).c_str(),
+                r.cell.nodes, r.cell.stripes, c.chunksRepaired,
+                c.events, c.queueScanSteps, c.queueMemoSkips,
+                c.rateRecomputes, c.recomputeFlowVisits,
+                formatDouble(r.medianSeconds()).c_str(),
+                formatDouble(r.seconds.front()).c_str(),
+                formatDouble(r.seconds.back()).c_str(),
+                formatDouble(r.eventsPerSec(r.medianSeconds())).c_str(),
+                formatDouble(r.eventsPerSec(r.seconds.back())).c_str(),
+                formatDouble(r.eventsPerSec(r.seconds.front())).c_str(),
+                formatDouble(c.repairTime).c_str(),
                 formatDouble(r.bytesPerStripe).c_str(),
                 formatDouble(r.peakRss).c_str(),
                 i + 1 < results.size() ? "," : "");
