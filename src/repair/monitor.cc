@@ -42,6 +42,7 @@ BandwidthMonitor::start()
     if (running_)
         return;
     running_ = true;
+    ++generation_;
     // Seed the byte counters at the current instant, then sample
     // periodically.
     auto &net = cluster_.network();
@@ -55,7 +56,8 @@ BandwidthMonitor::start()
         lastDiskBytes_[i] = net.taggedBytes(cluster_.disk(node),
                                             sim::FlowTag::kForeground);
     }
-    cluster_.simulator().scheduleAfter(period_, [this] { sample(); });
+    cluster_.simulator().scheduleAfter(
+        period_, [this, generation = generation_] { sample(generation); });
 }
 
 void
@@ -82,9 +84,9 @@ BandwidthMonitor::noisy(Rate used)
 }
 
 void
-BandwidthMonitor::sample()
+BandwidthMonitor::sample(uint64_t generation)
 {
-    if (!running_)
+    if (!running_ || generation != generation_)
         return;
     auto &net = cluster_.network();
     net.sync();
@@ -125,7 +127,8 @@ BandwidthMonitor::sample()
     }
     ++samples_;
     telemetry::metrics().counter("monitor.samples").add();
-    cluster_.simulator().scheduleAfter(period_, [this] { sample(); });
+    cluster_.simulator().scheduleAfter(
+        period_, [this, generation] { sample(generation); });
 }
 
 Rate

@@ -97,7 +97,9 @@ class BandwidthMonitor
     int sampleCount() const { return samples_; }
 
   private:
-    void sample();
+    /** One sample of the chain that start() number `generation`
+     * began; a chain from before the latest start() ends here. */
+    void sample(uint64_t generation);
 
     /** Applies the configured measurement noise to a usage rate. */
     Rate noisy(Rate used);
@@ -109,6 +111,9 @@ class BandwidthMonitor
     double noise_ = 0.0;
     Rng noiseRng_{0};
     bool running_ = false;
+    /** Bumped by start(), so a sample event that a stop() left
+     * pending cannot keep a second chain going after a restart. */
+    uint64_t generation_ = 0;
     int samples_ = 0;
     std::vector<Rate> upResidual_;
     std::vector<Rate> downResidual_;

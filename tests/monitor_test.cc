@@ -132,6 +132,25 @@ TEST(Monitor, EstimatesAreStaleBetweenSamples)
     monitor.stop();
 }
 
+TEST(Monitor, RestartWithinOnePeriodKeepsOneSampleChain)
+{
+    // A blackout shorter than the period stops and restarts the
+    // monitor while the sample event scheduled before stop() is
+    // still pending. That stale event must not start a second
+    // chain: after the restart at t=6, samples land at 11, 16, 21
+    // and 26 only (the stale one at 10 is dropped).
+    MonitorRig rig;
+    BandwidthMonitor monitor(*rig.cluster_, 5.0);
+    monitor.start();
+    rig.sim_.run(6.0);
+    EXPECT_EQ(monitor.sampleCount(), 1);
+    monitor.stop();
+    monitor.start();
+    rig.sim_.run(26.5);
+    EXPECT_EQ(monitor.sampleCount(), 5);
+    monitor.stop();
+}
+
 TEST(Monitor, RejectsBadNoiseFraction)
 {
     MonitorRig rig;
