@@ -25,6 +25,7 @@
 #include "repair/chameleon_scheduler.hh"
 #include "repair/executor.hh"
 #include "repair/session.hh"
+#include "repair/strategies.hh"
 #include "traffic/foreground_driver.hh"
 #include "traffic/hedged_read.hh"
 #include "traffic/trace_profile.hh"
@@ -56,6 +57,20 @@ std::string algorithmKey(Algorithm algorithm);
 /** Inverse of algorithmKey; nullopt for unknown spellings. */
 std::optional<Algorithm> algorithmFromKey(const std::string &key);
 
+/** ETRP, ChameleonEC and ChameleonEC-IO: the Chameleon dispatcher
+ * owns their plans and tree shapes. */
+bool isChameleonFamily(Algorithm algorithm);
+
+/** CR, PPR, ECPipe and their RepairBoost variants, whose plans a
+ * RepairSession executes. */
+bool isSessionAlgorithm(Algorithm algorithm);
+
+/** RB+CR, RB+PPR and RB+ECPipe. */
+bool isRepairBoost(Algorithm algorithm);
+
+/** Plan shape of a session algorithm; panics for the others. */
+repair::Topology topologyOf(Algorithm algorithm);
+
 /** A mid-run capacity throttle (straggler / wondershaper). */
 struct StragglerEvent
 {
@@ -74,13 +89,18 @@ struct StragglerEvent
     bool operator==(const StragglerEvent &) const = default;
 };
 
-/** Full experiment specification; defaults follow Section V-A
- * (scaled-down sizes are chosen by the bench binaries). */
-struct ExperimentConfig
+/**
+ * The plain-data part of an experiment cell: every field that
+ * serializes as-is. ExperimentConfig adds the live erasure code and
+ * foreground trace; ScenarioSpec adds their spec strings, the
+ * algorithm and a label. Defaults follow Section V-A (scaled-down
+ * sizes are chosen by the bench binaries).
+ */
+struct RunSettings
 {
+    /** Cluster shape; links default to 2.5 Gb/s sustained (set in
+     * the constructor). */
     cluster::ClusterConfig cluster;
-    /** Erasure code (default RS(10,4), set in the constructor). */
-    std::shared_ptr<const ec::ErasureCode> code;
     repair::ExecutorConfig exec;
     /** Chunks to repair on the (first) failed node. */
     int chunksToRepair = 40;
@@ -89,15 +109,14 @@ struct ExperimentConfig
     int stripes = 0;
     /** Nodes to fail (Exp#8 sweeps 1-3). */
     int failedNodes = 1;
-    /** Foreground trace; nullopt disables foreground traffic. */
-    std::optional<traffic::TraceProfile> trace;
     /** Bounded trace budget per client (0 = run until repair ends). */
     uint64_t requestsPerClient = 0;
     /** Seconds of foreground warm-up before the failure. */
     SimTime warmup = 16.0;
     repair::ChameleonConfig chameleon;
     repair::SessionConfig session;
-    /** Crash-retry policy of whichever repair driver runs. */
+    /** Crash-retry policy of whichever repair driver runs (the
+     * "retry" JSON block). */
     repair::RetryConfig retry;
     /**
      * Execution-topology override for session algorithms (CR/PPR/
@@ -144,7 +163,33 @@ struct ExperimentConfig
     /** Hard wall on simulated time (guards runaway runs). */
     SimTime simTimeCap = 100000.0;
 
+    RunSettings();
+
+    bool operator==(const RunSettings &) const = default;
+};
+
+/** Full experiment specification: the settings plus the live code
+ * and trace they run with. */
+struct ExperimentConfig : RunSettings
+{
+    /** Erasure code (default RS(10,4), set in the constructor). */
+    std::shared_ptr<const ec::ErasureCode> code;
+    /** Foreground trace; nullopt disables foreground traffic. */
+    std::optional<traffic::TraceProfile> trace;
+
     ExperimentConfig();
+
+    /**
+     * Range and cross-field checks for running this config as
+     * `algorithm`: unset, non-finite or out-of-range knobs, and
+     * combinations no run can honor. Runtime::run calls it before it
+     * builds anything; the diagnostic names the offending field.
+     * @param error receives a description on failure when non-null.
+     * @param code_spec how the caller spelled the code, quoted in
+     *                  the diagnostics (default: code->name()).
+     */
+    bool validate(Algorithm algorithm, std::string *error = nullptr,
+                  const std::string &code_spec = {}) const;
 };
 
 /** Per-link load summary for the Fig. 5 / Fig. 6 analyses. */

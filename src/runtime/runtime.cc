@@ -16,42 +16,6 @@
 namespace chameleon {
 namespace runtime {
 
-namespace {
-
-bool
-isChameleonFamily(Algorithm a)
-{
-    return a == Algorithm::kEtrp || a == Algorithm::kChameleon ||
-           a == Algorithm::kChameleonIo;
-}
-
-repair::Topology
-topologyOf(Algorithm a)
-{
-    switch (a) {
-      case Algorithm::kCr:
-      case Algorithm::kRbCr:
-        return repair::Topology::kStar;
-      case Algorithm::kPpr:
-      case Algorithm::kRbPpr:
-        return repair::Topology::kTree;
-      case Algorithm::kEcpipe:
-      case Algorithm::kRbEcpipe:
-        return repair::Topology::kChain;
-      default:
-        CHAMELEON_PANIC("no topology for ", algorithmName(a));
-    }
-}
-
-bool
-isRepairBoost(Algorithm a)
-{
-    return a == Algorithm::kRbCr || a == Algorithm::kRbPpr ||
-           a == Algorithm::kRbEcpipe;
-}
-
-} // namespace
-
 Runtime::Runtime(Algorithm algorithm, ExperimentConfig config,
                  RuntimeOptions options)
     : algorithm_(algorithm), config_(std::move(config)),
@@ -61,11 +25,6 @@ Runtime::Runtime(Algorithm algorithm, ExperimentConfig config,
         telem_ = std::make_unique<telemetry::RunTelemetry>();
 }
 
-Runtime::Runtime(const ScenarioSpec &scenario, RuntimeOptions options)
-    : Runtime(scenario.algorithm, scenario.toConfig(), options)
-{
-}
-
 Runtime::~Runtime() = default;
 
 ExperimentResult
@@ -73,10 +32,10 @@ Runtime::run(const ExperimentHooks &hooks)
 {
     CHAMELEON_ASSERT(!ran_, "Runtime is single-use");
     ran_ = true;
-    CHAMELEON_ASSERT(config_.code != nullptr, "config lacks a code");
-    CHAMELEON_ASSERT(config_.failedNodes >= 1 &&
-                     config_.failedNodes <= config_.cluster.numNodes,
-                     "bad failed node count");
+    std::string error;
+    if (!config_.validate(algorithm_, &error))
+        CHAMELEON_PANIC("invalid configuration for '",
+                        algorithmKey(algorithm_), "': ", error);
 
     const Algorithm algorithm = algorithm_;
     const ExperimentConfig &config = config_;
@@ -190,10 +149,6 @@ Runtime::run(const ExperimentHooks &hooks)
     // Schedule straggler throttles relative to the failure time.
     for (auto ev : config.stragglers) {
         if (ev.node == kInvalidNode) {
-            CHAMELEON_ASSERT(!scan_mode,
-                             "scanner path has no eager work list to "
-                             "auto-pick a straggler from; set an "
-                             "explicit straggler node");
             CHAMELEON_ASSERT(!pending.empty(), "no repair to straggle");
             auto avail = stripes.availableChunks(pending[0].stripe);
             CHAMELEON_ASSERT(!avail.empty(), "stripe has no survivors");
@@ -242,14 +197,6 @@ Runtime::run(const ExperimentHooks &hooks)
     if (algorithm == Algorithm::kNone) {
         // trace-only run
     } else if (config.degraded.enabled) {
-        CHAMELEON_ASSERT(!isChameleonFamily(algorithm),
-                         "degraded.enabled does not apply to ",
-                         algorithmName(algorithm),
-                         ": the Chameleon dispatcher owns its plans");
-        CHAMELEON_ASSERT(
-            config.topology.kind == dag::RepairTopology::kAuto,
-            "degraded reads are direct star reconstructions; no "
-            "topology override applies");
         // Consume the plan-rng split the session branch would have,
         // so the fault injector's stream stays aligned with a
         // same-seed session run.
@@ -259,11 +206,6 @@ Runtime::run(const ExperimentHooks &hooks)
         hedged = manager.get();
         driver = std::move(manager);
     } else if (isChameleonFamily(algorithm)) {
-        CHAMELEON_ASSERT(
-            config.topology.kind == dag::RepairTopology::kAuto,
-            "topology override does not apply to ",
-            algorithmName(algorithm),
-            ": the Chameleon dispatcher owns its tree shapes");
         repair::ChameleonConfig ccfg = config.chameleon;
         if (algorithm == Algorithm::kEtrp) {
             ccfg.enableReordering = false;
@@ -478,7 +420,6 @@ Runtime::run(const ExperimentHooks &hooks)
     ExperimentResult result;
     result.algorithm = algorithm;
     SimTime repair_finish = repair_start;
-    std::size_t lat_end = lat_start;
     bool repair_seen_done = !driver;
     auto uplink_repair_bytes = [&] {
         net.sync();
@@ -503,7 +444,6 @@ Runtime::run(const ExperimentHooks &hooks)
         if (!repair_seen_done && repair_done()) {
             repair_seen_done = true;
             repair_finish = driver->finishTime();
-            lat_end = foreground ? foreground->latencies().count() : 0;
         }
         if (hooks.onSample)
             hooks.onSample(sim.now(), foreground.get());
@@ -512,10 +452,8 @@ Runtime::run(const ExperimentHooks &hooks)
         CHAMELEON_WARN("experiment hit the simulated-time cap (",
                        algorithmName(algorithm), ")");
     }
-    if (driver && repair_done() && !repair_seen_done) {
+    if (driver && repair_done() && !repair_seen_done)
         repair_finish = driver->finishTime();
-        lat_end = foreground ? foreground->latencies().count() : 0;
-    }
 
     // Capture end-of-window byte counters before draining.
     net.sync();
@@ -592,7 +530,6 @@ Runtime::run(const ExperimentHooks &hooks)
         std::size_t from = lat_start;
         if (algorithm == Algorithm::kNone)
             from = 0;
-        (void)lat_end;
         result.latency = lat.summaryFrom(from);
         result.p99LatencyMs = result.latency.p99 * 1e3;
         result.meanLatencyMs = result.latency.mean * 1e3;

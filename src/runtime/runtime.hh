@@ -28,7 +28,6 @@
 #include <memory>
 
 #include "runtime/experiment.hh"
-#include "runtime/scenario.hh"
 #include "telemetry/telemetry.hh"
 
 namespace chameleon {
@@ -53,16 +52,12 @@ class Runtime
     Runtime(Algorithm algorithm, ExperimentConfig config,
             RuntimeOptions options = {});
 
-    /** Materializes `scenario` (panics on an unresolvable spec —
-     * fromJson() already validated anything user-provided). */
-    explicit Runtime(const ScenarioSpec &scenario,
-                     RuntimeOptions options = {});
-
     ~Runtime();
     Runtime(const Runtime &) = delete;
     Runtime &operator=(const Runtime &) = delete;
 
-    /** Executes the experiment. Call exactly once. */
+    /** Executes the experiment. Call exactly once. Panics with the
+     * diagnostic when ExperimentConfig::validate rejects the config. */
     ExperimentResult run(const ExperimentHooks &hooks = {});
 
     Algorithm algorithm() const { return algorithm_; }

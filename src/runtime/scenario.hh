@@ -9,18 +9,17 @@
  *
  * fromJson() rejects malformed input with a diagnostic instead of
  * panicking, so scenario files are safe to feed from the command
- * line; validate() holds the range and cross-field checks, which
- * fromJson() and the CLI (after applying its flags) both run.
+ * line; validate() adds the range and cross-field checks of
+ * ExperimentConfig::validate, which every Runtime runs.
  * toJson() round-trips (parse(toJson(s)) == s) with full
  * double precision. Fault schedules use src/fault's spec grammar
  * ("crash@30:node=3:dur=40"); stragglers use the analogous grammar
- * documented at parseStragglers().
+ * documented at tryParseStragglers().
  */
 
 #ifndef CHAMELEON_RUNTIME_SCENARIO_HH_
 #define CHAMELEON_RUNTIME_SCENARIO_HH_
 
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -30,8 +29,10 @@
 namespace chameleon {
 namespace runtime {
 
-/** Pure-data experiment cell; see file comment. */
-struct ScenarioSpec
+/** Pure-data experiment cell; see file comment. The run settings
+ * are the shared RunSettings base; the spec adds what
+ * ExperimentConfig holds as live objects, spelled as strings. */
+struct ScenarioSpec : RunSettings
 {
     /** Optional label, used as the result-row name when set. */
     std::string name;
@@ -42,50 +43,6 @@ struct ScenarioSpec
     std::string code = "rs:10,4";
     /** Trace profile name: ycsb-a|ibm|memcached|etc|none. */
     std::string trace = "ycsb-a";
-    cluster::ClusterConfig cluster;
-    repair::ExecutorConfig exec;
-    int chunksToRepair = 40;
-    /** Exact stripe count (0 = grow until node 0 hosts
-     * chunks_to_repair chunks, the legacy behavior). */
-    int stripes = 0;
-    int failedNodes = 1;
-    uint64_t requestsPerClient = 0;
-    SimTime warmup = 16.0;
-    repair::ChameleonConfig chameleon;
-    repair::SessionConfig session;
-    /** Crash-retry policy of every repair driver (the "retry"
-     * block). */
-    repair::RetryConfig retry;
-    /** Execution-topology override ("auto"|"star"|"chain"|"ppr"|
-     * "mlf:F"); only meaningful for session algorithms — validate()
-     * rejects non-auto values for the Chameleon family and kNone. */
-    dag::TopologySpec topology;
-    std::vector<StragglerEvent> stragglers;
-    fault::FaultSchedule faults;
-    double chaosRate = 0.0;
-    uint64_t chaosSeed = 0;
-    SimTime chaosHorizon = 120.0;
-    /** Silent bit-rot arrival rate (chaos block, "bitrot_rate");
-     * independent of the combined chaos rate. */
-    double bitrotRate = 0.0;
-    /** Background scanner / repair-queue knobs (the "scanner" JSON
-     * block); scanner.enabled selects the scanner repair path. */
-    cluster::ScannerConfig scanner;
-    /** Integrity scrubbing + executor verify knobs (the "scrub"
-     * JSON block); scrub.enabled starts the background scrubber. */
-    cluster::ScrubConfig scrub;
-    /** Hedged degraded-read policy (the "degraded" JSON block);
-     * degraded.enabled routes repairs through the hedged-read
-     * manager — session algorithms only, and no topology override,
-     * since hedged attempts are stars (validate() enforces both).
-     * Scanner discovery and scrubbing apply as to any driver. */
-    traffic::HedgedReadConfig degraded;
-    uint64_t seed = 1;
-    SimTime simTimeCap = 100000.0;
-
-    /** Applies the experiment defaults (2.5 Gb/s sustained links)
-     * so a default ScenarioSpec equals a default ExperimentConfig. */
-    ScenarioSpec();
 
     bool operator==(const ScenarioSpec &) const = default;
 
@@ -99,9 +56,9 @@ struct ScenarioSpec
     fromJson(const std::string &text, std::string *error = nullptr);
 
     /**
-     * Range and cross-field checks: out-of-range dimensions and
-     * knobs, and combinations no run can honor. The diagnostic names
-     * the offending field.
+     * Rejects an unparsable code spec or an unknown trace name, then
+     * runs ExperimentConfig::validate on toConfig(). The diagnostic
+     * names the offending field.
      * @param error receives a description on failure when non-null.
      */
     bool validate(std::string *error = nullptr) const;
@@ -117,13 +74,6 @@ struct ScenarioSpec
      */
     ExperimentConfig toConfig() const;
 };
-
-/**
- * Parses an erasure-code spec (rs:K,M | lrc:K,L,M | butterfly |
- * rep:N); nullopt + *error on malformed input.
- */
-std::optional<std::shared_ptr<const ec::ErasureCode>>
-tryParseCode(const std::string &spec, std::string *error = nullptr);
 
 /**
  * Resolves a trace-profile name; "none" or "" yield an engaged
@@ -144,9 +94,6 @@ bool tryResolveTrace(const std::string &name,
 std::optional<std::vector<StragglerEvent>>
 tryParseStragglers(const std::string &spec,
                    std::string *error = nullptr);
-
-/** Panicking form of tryParseStragglers for trusted (CLI) input. */
-std::vector<StragglerEvent> parseStragglers(const std::string &spec);
 
 /** Round-trips a straggler schedule back to the spec grammar. */
 std::string stragglerSpecStr(const std::vector<StragglerEvent> &events);

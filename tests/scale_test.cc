@@ -33,6 +33,7 @@
 #include "ec/factory.hh"
 #include "fault/fault.hh"
 #include "runtime/runtime.hh"
+#include "runtime/scenario.hh"
 #include "sim/simulator.hh"
 #include "telemetry/telemetry.hh"
 
